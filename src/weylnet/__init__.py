@@ -14,6 +14,7 @@ from .basis import (
     WeylIndex,
     commuting_partner_count,
     convert_basis,
+    inverse_weyl_transform,
     structure_constant,
     sun_basis,
     transition,
@@ -23,6 +24,7 @@ from .basis import (
     weyl_det_eigs,
     weyl_matrix,
     weyl_product,
+    weyl_transform,
 )
 from .cat import cat_labels, cat_profile, cat_state, cat_verify
 from .cluster import (

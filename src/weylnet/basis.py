@@ -11,14 +11,18 @@ symbolic products accumulate no rounding error.  Dense complex ndarrays
 are the numeric carrier for everything else.
 
 The module also provides the transition operators P_ij = |i><j|, the
-hermitian su(n) generator set normalized to tr{g g'} = n*delta, and
-coefficient-map conversions between the three bases.
+hermitian su(n) generator set normalized to tr{g g'} = n*delta,
+coefficient-map conversions between the three bases, and the Weyl
+transform: all coefficients tr{op U^dag} of an operator on a network of
+nodes over the product labels U = U_{a_1 b_1} x ... x U_{a_N b_N}, which
+every coefficient expansion in the package goes through.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +48,13 @@ class WeylIndex:
     n: int
 
     def __post_init__(self):
+        if not type(self.a) is type(self.b) is type(self.n) is int:  # fast path for hot loops
+            try:
+                for v in (self.a, self.b, self.n):
+                    operator.index(v)  # numpy integers pass, floats and strings do not
+            except TypeError as exc:
+                raise InputError(
+                    f"index ({self.a!r},{self.b!r}) and n={self.n!r} must be integers") from exc
         if self.n < 2:
             raise InputError(f"dimension must be >= 2, got {self.n}")
         if not (0 <= self.a < self.n and 0 <= self.b < self.n):
@@ -283,6 +294,82 @@ def as_operator(op, n: int | None = None) -> np.ndarray:
     return m
 
 
+def _node_dims(dims) -> tuple[int, ...]:
+    try:
+        out = tuple(operator.index(n) for n in dims)
+    except TypeError as exc:
+        raise InputError(f"per-node dimensions must be integers, got {dims}") from exc
+    if not out or min(out) < 2:
+        raise InputError(f"per-node dimensions must be integers >= 2, got {dims}")
+    return out
+
+
+def _finite_stack(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex array whose trailing axes have ``shape``; entries must be finite."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < len(shape) or m.shape[m.ndim - len(shape):] != shape:
+        raise DimensionMismatch(f"{what} must end in shape {shape}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError(f"{what} entries must be finite")
+    return m
+
+
+def _shear(t: np.ndarray, dims: tuple[int, ...], sign: int) -> np.ndarray:
+    """Per node, t[..., r, c] -> t[..., (r + sign*c) mod n, c] on its (r, c) axis pair.
+
+    ``t`` has axes (..., r_1..r_N, c_1..c_N).  sign=+1 gathers the shifted
+    diagonals D[a, k] = t[(a+k) mod n, k]; sign=-1 scatters them back.
+    """
+    lead = t.ndim - 2 * len(dims)
+    for i, n in enumerate(dims):
+        r, c = lead + i, lead + len(dims) + i
+        k = np.arange(n)
+        rows = (k[:, None] + sign * k[None, :]) % n
+        t = np.moveaxis(np.moveaxis(t, (r, c), (-2, -1))[..., rows, k], (-2, -1), (r, c))
+    return t
+
+
+def weyl_transform(op, dims) -> np.ndarray:
+    """tr{op U^dag} for every product label U = U_{a_1 b_1} x ... x U_{a_N b_N}.
+
+    ``op`` is a D x D operator, or a stack of them along leading axes, on
+    nodes of dimensions ``dims`` (D = prod dims, node 1 most significant).
+    The result has axes (..., a_1, b_1, ..., a_N, b_N), so flattening the
+    label axes orders labels lexicographically with per-node index n*a + b.
+
+    Per node, u_ab = sum_k op[(k+a) mod n, k] w^(-bk): gather the shifted
+    diagonals on that node's (row, column) axis pair, then FFT along k.
+    Cost O(D^2 log D) time and O(D^2) memory for all D^2 labels.
+    """
+    dims = _node_dims(dims)
+    d = math.prod(dims)
+    m = _finite_stack(op, (d, d), "operator")
+    lead = m.shape[:-2]
+    t = _shear(m.reshape(lead + dims + dims), dims, +1)
+    nn, nl = len(dims), len(lead)
+    t = np.fft.fftn(t, axes=tuple(range(nl + nn, nl + 2 * nn)))
+    pairs = [ax for i in range(nn) for ax in (nl + i, nl + nn + i)]
+    return t.transpose(tuple(range(nl)) + tuple(pairs))
+
+
+def inverse_weyl_transform(coeffs, dims) -> np.ndarray:
+    """Operator (1/D) sum u_label U_label; inverse of :func:`weyl_transform`.
+
+    ``coeffs`` has axes (..., a_1, b_1, ..., a_N, b_N); the result has
+    axes (..., D, D).  Inverse FFT along every b, then scatter each node's
+    diagonals back to op[(k+a) mod n, k].
+    """
+    dims = _node_dims(dims)
+    nn = len(dims)
+    u = _finite_stack(coeffs, tuple(n for n in dims for _ in range(2)), "coefficients")
+    nl = u.ndim - 2 * nn
+    order = [nl + 2 * i for i in range(nn)] + [nl + 2 * i + 1 for i in range(nn)]
+    t = np.fft.ifftn(u.transpose(tuple(range(nl)) + tuple(order)),
+                     axes=tuple(range(nl + nn, nl + 2 * nn)))
+    d = math.prod(dims)
+    return _shear(t, dims, -1).reshape(u.shape[:nl] + (d, d))
+
+
 def expand(op, basis: str) -> dict:
     """Coefficient map of ``op`` in the named basis.
 
@@ -293,11 +380,8 @@ def expand(op, basis: str) -> dict:
     m = as_operator(op)
     n = m.shape[0]
     if basis == "weyl":
-        return {
-            (a, b): complex(np.trace(weyl_matrix(WeylIndex(a, b, n)).conj().T @ m))
-            for a in range(n)
-            for b in range(n)
-        }
+        u = weyl_transform(m, (n,))
+        return {(a, b): complex(u[a, b]) for a in range(n) for b in range(n)}
     if basis == "transition":
         return {(i, j): complex(m[i, j]) for i in range(n) for j in range(n)}
     if basis == "sun":
@@ -310,8 +394,9 @@ def assemble(n: int, basis: str, coeffs: dict) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
     if basis == "weyl":
         for (a, b), c in coeffs.items():
-            m += c * weyl_matrix(WeylIndex(a, b, n))
-        return m / n
+            idx = WeylIndex(a, b, n)
+            m[idx.a, idx.b] += c
+        return inverse_weyl_transform(m, (n,))
     if basis == "transition":
         for (i, j), c in coeffs.items():
             m[i, j] += c

@@ -11,17 +11,20 @@ invariant under local unitaries and obey the global sum rule
 
 Cluster sums are computed from reduced-state purities by subset Moebius
 inversion, which keeps large pure states (state vectors up to the
-dimension cap) cheap.
+dimension cap) cheap.  Correlation tensors come from the Weyl transform
+of the whole state (:func:`weylnet.basis.weyl_transform`); binning its
+squared moduli by support is the independent cross-check of the sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, weyl_matrix
+from .basis import WeylIndex, weyl_matrix, weyl_transform
 from .coherence import validate_state
 from .errors import CapExceeded, DimensionMismatch, InputError, VerificationFailure
 
@@ -93,34 +96,40 @@ class NetworkState:
 
     @classmethod
     def from_rho(cls, rho, dims, dim_cap: int = DEFAULT_DIM_CAP) -> "NetworkState":
-        dims = tuple(int(n) for n in dims)
-        cls._check_dims(dims, dim_cap)
+        dims = cls._check_dims(dims, dim_cap)
         m = validate_state(rho)
-        if m.shape[0] != int(np.prod(dims)):
+        if m.shape[0] != math.prod(dims):
             raise DimensionMismatch(
-                f"state dimension {m.shape[0]} != prod(dims) = {int(np.prod(dims))}")
+                f"state dimension {m.shape[0]} != prod(dims) = {math.prod(dims)}")
         return cls(dims=dims, _rho=m, dim_cap=dim_cap)
 
     @classmethod
     def from_pure(cls, psi, dims, dim_cap: int = DEFAULT_DIM_CAP) -> "NetworkState":
-        dims = tuple(int(n) for n in dims)
-        cls._check_dims(dims, dim_cap)
+        dims = cls._check_dims(dims, dim_cap)
         v = np.asarray(psi, dtype=complex).ravel()
-        if v.shape[0] != int(np.prod(dims)):
+        if v.shape[0] != math.prod(dims):
             raise DimensionMismatch(
-                f"vector length {v.shape[0]} != prod(dims) = {int(np.prod(dims))}")
+                f"vector length {v.shape[0]} != prod(dims) = {math.prod(dims)}")
+        if not np.all(np.isfinite(v)):
+            raise InputError("state vector entries must be finite")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-10:
             raise InputError(f"state vector norm {norm:.6g} != 1")
         return cls(dims=dims, _psi=v, dim_cap=dim_cap)
 
     @staticmethod
-    def _check_dims(dims, dim_cap):
+    def _check_dims(dims, dim_cap) -> tuple[int, ...]:
+        """Validated per-node dimensions as Python ints (no fixed-width overflow)."""
+        try:
+            dims = tuple(int(n) for n in dims)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"per-node dimensions must be integers: {exc}") from exc
         if not dims or any(n < 2 for n in dims):
             raise InputError(f"per-node dimensions must all be >= 2, got {dims}")
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if total > dim_cap:
             raise CapExceeded(f"total dimension {total} exceeds cap {dim_cap}")
+        return dims
 
     @property
     def n_nodes(self) -> int:
@@ -128,7 +137,7 @@ class NetworkState:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def is_pure_vector(self) -> bool:
@@ -150,11 +159,6 @@ class NetworkState:
         if len(set(self.dims)) != 1:
             raise InputError(f"operation requires uniform node dimensions, got {self.dims}")
         return self.dims[0]
-
-    def expectation(self, op: np.ndarray) -> complex:
-        if self._psi is not None:
-            return complex(np.vdot(self._psi, op @ self._psi))
-        return complex(np.trace(self._rho @ op))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -215,12 +219,14 @@ def _node_index_iter(n: int):
 def correlation_tensors(state: NetworkState, max_order: int) -> dict:
     """All correlation tensor entries up to the given cluster size.
 
-    Keys are :class:`ProductLabel`; values are tr{rho Q^dag}.  The
-    all-identity label is included with value 1.  Every modulus is
-    checked against the loose bound sqrt(prod dims).
+    Keys are :class:`ProductLabel`; values are tr{rho Q^dag}, read off one
+    Weyl transform of the state.  The all-identity label is included with
+    value 1.  Every modulus is checked against the loose bound
+    sqrt(prod dims).
     """
     if max_order > state.n_nodes:
         raise InputError(f"max_order {max_order} exceeds node count {state.n_nodes}")
+    u = weyl_transform(state.rho, state.dims)
     bound = float(np.sqrt(state.total_dim)) + 1e-9
     out = {}
     nodes = range(state.n_nodes)
@@ -231,12 +237,11 @@ def correlation_tensors(state: NetworkState, max_order: int) -> dict:
                 entries = [(0, 0)] * state.n_nodes
                 for node, ab in zip(subset, combo):
                     entries[node] = ab
-                label = label_from_entries(entries, state.dims)
-                value = state.expectation(cluster_operator(label).conj().T)
+                value = complex(u[tuple(x for ab in entries for x in ab)])
                 if abs(value) > bound:
                     raise VerificationFailure(
                         f"correlation value {abs(value):.3g} violates the sum-rule bound")
-                out[label] = value
+                out[label_from_entries(entries, state.dims)] = value
     return out
 
 
@@ -305,17 +310,20 @@ def cluster_sums(state: NetworkState) -> ClusterSumTable:
 
 
 def cluster_sum_direct(state: NetworkState, subset) -> float:
-    """Brute-force Y over explicit correlation tensors (test oracle ally)."""
+    """Y(subset) as the sum of |tr{rho Q^dag}|^2 over labels with exactly that support.
+
+    One Weyl transform of the whole state; per node, the squared moduli
+    split into the identity label and the sum over the rest.  This is the
+    cross-check of the Moebius route in :func:`cluster_sums`.
+    """
     subset = tuple(sorted(subset))
-    total = 0.0
-    choices = [list(_node_index_iter(state.dims[i])) for i in subset]
-    for combo in itertools.product(*choices):
-        entries = [(0, 0)] * state.n_nodes
-        for node, ab in zip(subset, combo):
-            entries[node] = ab
-        value = state.expectation(cluster_operator(label_from_entries(entries, state.dims)).conj().T)
-        total += abs(value) ** 2
-    return total
+    if any(not 0 <= i < state.n_nodes for i in subset):
+        raise InputError(f"subset {subset} out of range for {state.n_nodes} nodes")
+    w = np.abs(weyl_transform(state.rho, state.dims)) ** 2
+    w = w.reshape(tuple(n * n for n in state.dims))
+    for axis in range(state.n_nodes):
+        w = np.add.reduceat(w, [0, 1], axis=axis)  # [identity, sum of the rest]
+    return float(w[tuple(int(i in subset) for i in range(state.n_nodes))])
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +413,15 @@ def product_state_test(state: NetworkState, partition, atol: float = 1e-9) -> Pr
     product of the parts' cluster sums falls below the joint cluster sum
     by more than ``atol``.
     """
+    return _partition_test(cluster_sums(state), partition, atol)
+
+
+def _partition_test(table: ClusterSumTable, partition, atol: float) -> ProductTestResult:
     parts = tuple(tuple(sorted(p)) for p in partition)
     flat = [i for p in parts for i in p]
     if len(set(flat)) != len(flat):
         raise InputError("partition blocks must be disjoint")
     cluster = tuple(sorted(flat))
-    table = cluster_sums(state)
     joint = table.values[cluster]
     prod = 1.0
     for p in parts:
@@ -443,12 +454,17 @@ def _partitions(items: tuple[int, ...]):
 
 
 def find_non_product_witness(state: NetworkState, cluster=None, atol: float = 1e-9):
-    """Search all partitions of a cluster; return the first witness or None."""
+    """Search all partitions of a cluster; return the first witness or None.
+
+    The cluster-sum table is computed once and every partition is tested
+    against it.
+    """
     if cluster is None:
         cluster = tuple(range(state.n_nodes))
     cluster = tuple(sorted(cluster))
+    table = cluster_sums(state)
     for partition in _partitions(cluster):
-        result = product_state_test(state, partition, atol)
+        result = _partition_test(table, partition, atol)
         if result.non_product:
             return result
     return None

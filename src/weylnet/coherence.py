@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import from_single_index, weyl_matrix
+from .basis import inverse_weyl_transform, weyl_transform
 from .errors import InputError
 
 #: tolerance for state validation (hermiticity, trace, positivity)
@@ -73,16 +73,13 @@ class CoherenceVector:
         return rows
 
 
-def _basis_stack(n: int) -> np.ndarray:
-    """Stack of all n^2 basis matrices indexed by i = n*a + b."""
-    return np.stack([weyl_matrix(from_single_index(i, n)) for i in range(n * n)])
-
-
 def validate_state(rho, atol: float = STATE_ATOL) -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return the array."""
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"density operator must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("density operator entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > atol:
         raise InputError("density operator is not hermitian")
     if abs(np.trace(m) - 1.0) > atol:
@@ -96,18 +93,14 @@ def expand_state(rho, atol: float = STATE_ATOL) -> CoherenceVector:
     """Coherence vector of a valid density operator."""
     m = validate_state(rho, atol)
     n = m.shape[0]
-    ops = _basis_stack(n)
-    u = np.einsum("ikl,kl->i", ops.conj(), m)  # tr{U_i^dag rho} entrywise
+    u = weyl_transform(m, (n,)).ravel()
     return CoherenceVector(n=n, u=u[1:])
 
 
 def reconstruct_state(cv: CoherenceVector) -> np.ndarray:
     """rho = (1/n) (1 + sum_{i != 0} u_i U_i)."""
     n = cv.n
-    m = np.eye(n, dtype=complex)
-    for i in range(1, n * n):
-        m += cv.u[i - 1] * weyl_matrix(from_single_index(i, n))
-    return m / n
+    return inverse_weyl_transform(np.concatenate(([1.0], cv.u)).reshape(n, n), (n,))
 
 
 def rotation_matrix(u_t, atol: float = 1e-8) -> np.ndarray:
@@ -120,9 +113,10 @@ def rotation_matrix(u_t, atol: float = 1e-8) -> np.ndarray:
     n = U.shape[0]
     if np.max(np.abs(U.conj().T @ U - np.eye(n))) > atol:
         raise InputError("evolution operator is not unitary")
-    ops = _basis_stack(n)
-    conj = np.stack([U.conj().T @ ops[i].conj().T @ U for i in range(n * n)])
-    t_full = np.einsum("jlk,ikl->ij", ops, conj) / n
+    d = n * n
+    units = inverse_weyl_transform(n * np.eye(d).reshape(d, n, n), (n,))  # U_j, j = n*a + b
+    # column j holds the coefficients of U U_j U^dag
+    t_full = weyl_transform(U @ units @ U.conj().T, (n,)).reshape(d, d).T / n
     return t_full[1:, 1:]
 
 
@@ -131,17 +125,21 @@ def generator_matrix(h) -> np.ndarray:
 
     Omega is anti-hermitian in the sense Omega_ij = -conj(Omega_ji), has
     zero trace, and du/dt = Omega u reproduces the conjugated state.
+    [U_i^dag, U_j]_- is the single term f_ij U_{j-i} (see
+    :func:`weylnet.basis.structure_constant`), and tr{H U_k} is the
+    conjugate of H's Weyl coefficient h_k, so
+    Omega_ij = (i/n) f_ij conj(h_{j-i}).
     """
     H = np.asarray(h, dtype=complex)
     n = H.shape[0]
     if np.max(np.abs(H - H.conj().T)) > STATE_ATOL:
         raise InputError("Hamiltonian must be hermitian")
-    ops = _basis_stack(n)
-    omega = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n * n):
-        di = ops[i].conj().T
-        for j in range(n * n):
-            omega[i, j] = 1j / n * np.trace(H @ (di @ ops[j] - ops[j] @ di))
+    h = weyl_transform(H, (n,)).ravel()
+    a, b = np.divmod(np.arange(n * n), n)
+    ai, bi, aj, bj = a[:, None], b[:, None], a[None, :], b[None, :]
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    f = w[(ai * bi - bi * aj) % n] - w[(ai * bi - ai * bj) % n]
+    omega = 1j / n * f * np.conj(h[((aj - ai) % n) * n + (bj - bi) % n])
     return omega[1:, 1:]
 
 

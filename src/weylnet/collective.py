@@ -21,6 +21,12 @@ The coarser families F (net flip z and sigma_z count gamma, built on
 sigma_+/sigma_-/sigma_z) and G (total operator count m) are grouped the
 same way; each group's phase transform is an invertible DFT over its
 placements, so both families stay complete.
+
+Coefficients in every family come from one Weyl transform of the
+operator (:func:`weylnet.basis.weyl_transform`): at n = 2 each letter is
+a fixed combination of shift/phase unitaries (X = U_10, Z = -U_01,
+Y = -i U_11, sigma_+- = U_10 +- U_11), and each group's members are one
+FFT over that group's placement coefficients.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import as_operator, inverse_weyl_transform, weyl_transform
 from .cluster import NetworkState, kron_all
 from .coherence import validate_state
 from .errors import InputError
@@ -145,6 +152,102 @@ def _as_rho(state, n_nodes: int | None) -> tuple[np.ndarray, int]:
     return rho, nn
 
 
+# ---------------------------------------------------------------------------
+# the placement-group transform shared by the E, F and G families
+# ---------------------------------------------------------------------------
+#
+# A placement is one letter per node from a four-letter alphabet; ranked
+# lexicographically, the 4^N placements of N nodes are the base-4 numbers
+# with node 1 most significant.  A family member is a phased sum over one
+# group of placements, so a stable sort of the 4^N placements by group
+# turns each group into a contiguous run in rank order, and the members'
+# coefficients are one DFT over that run.
+
+# family -> (single-node letters in lexicographic order, group sort key,
+# member label); key and label read the per-letter counts c of a placement
+_FAMILIES = {
+    # (alpha, beta, gamma) = counts of X, Y, Z
+    "E": ("IXYZ", lambda c, n: (c[1] * (n + 1) + c[2]) * (n + 1) + c[3],
+          lambda c, b: CollectiveLabel(c[1], c[2], c[3], b)),
+    # gamma = count of Z, then net flip z = #P - #M
+    "F": ("IMPZ", lambda c, n: c[3] * (2 * n + 1) + c[2] - c[1] + n,
+          lambda c, b: (c[2] - c[1], c[3], b)),
+    # m = count of non-identity letters
+    "G": ("IXYZ", lambda c, n: n - c[0],
+          lambda c, b: (c[1] + c[2] + c[3], b)),
+}
+
+
+@lru_cache(maxsize=None)
+def _letter_coefficients(letters: str) -> np.ndarray:
+    """T[j, l] = tr{U_j^dag L_l}: shift/phase coefficients (j = 2a + b) of each letter."""
+    mats = np.stack([_CHAR_MATS[ch] for ch in letters])
+    return weyl_transform(mats, (2,)).reshape(len(letters), 4).T
+
+
+@lru_cache(maxsize=None)
+def _placement_groups(family: str, n_nodes: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Stable sort of the 4^N placements into the family's groups.
+
+    Returns (order, runs, labels): ``order[r]`` is the base-4 placement
+    index at rank r, ``runs`` the (start, stop) ranks of each group in
+    label order, and ``labels[r]`` the family label of rank r, whose phase
+    index is b = r - start.
+    """
+    _, group_key, make = _FAMILIES[family]
+    size = 4 ** n_nodes
+    index = np.arange(size)
+    counts = np.zeros((4, size), dtype=np.int64)
+    for node in range(n_nodes):
+        counts[(index >> (2 * node)) & 3, index] += 1
+    key = group_key(counts, n_nodes)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist()
+    runs = tuple(zip(starts, starts[1:] + [size]))
+    labels = []
+    for start, stop in runs:
+        c = counts[:, order[start]].tolist()
+        labels += [make(c, b) for b in range(stop - start)]
+    return order, runs, tuple(labels)
+
+
+def _per_node(mat: np.ndarray, t: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Apply a 4 x 4 matrix on every node of a flat base-4 array (node 1 first)."""
+    for _ in range(n_nodes):
+        # transform the leading node, then rotate it to the back
+        t = (mat @ t.reshape(4, -1)).T.ravel()
+    return t
+
+
+def _family_transform(op, family: str, n_nodes: int) -> tuple[tuple, np.ndarray]:
+    """Labels and coefficients x with op = sum x_{g,b} (member g,b of the family).
+
+    Placements are trace-orthogonal, so placement S carries
+    q_S = tr{S^dag op} / tr{S S^dag}, read off the Weyl transform letter by
+    letter; within a group q_p = sum_b x_b w^(pb), so x is the group's FFT
+    of q divided by Omega.
+    """
+    order, runs, labels = _placement_groups(family, n_nodes)
+    t = _letter_coefficients(_FAMILIES[family][0])
+    norms = np.sum(np.abs(t) ** 2, axis=0) / 2  # tr{L L^dag}
+    u = weyl_transform(op, (2,) * n_nodes).ravel()
+    # per node, A = (1/2) sum_j u_j U_j gives tr{L^dag A} = (1/2) sum_j conj(T[j, l]) u_j
+    q = _per_node(t.conj().T / (2 * norms[:, None]), u, n_nodes)[order]
+    for start, stop in runs:
+        q[start:stop] = np.fft.fft(q[start:stop]) / (stop - start)
+    return labels, q
+
+
+def _family_operator(x: np.ndarray, family: str, n_nodes: int) -> np.ndarray:
+    """sum x_{g,b} (member g,b) for coefficients x in label order; inverse of the above."""
+    order, runs, _ = _placement_groups(family, n_nodes)
+    q = np.empty(4 ** n_nodes, dtype=complex)
+    for start, stop in runs:
+        q[order[start:stop]] = (stop - start) * np.fft.ifft(x[start:stop])
+    u = _per_node(_letter_coefficients(_FAMILIES[family][0]), q, n_nodes)
+    return inverse_weyl_transform(u.reshape((2,) * (2 * n_nodes)), (2,) * n_nodes)
+
+
 def decompose_collective(state, n_nodes: int | None = None) -> dict:
     """Expectation map E_{abg,b} = (1/Omega) tr{rho E^dag}.
 
@@ -152,36 +255,20 @@ def decompose_collective(state, n_nodes: int | None = None) -> dict:
     permutation-symmetric states have all b != 0 coefficients zero.
     """
     rho, nn = _as_rho(state, n_nodes)
-    out = {}
-    for alpha in range(nn + 1):
-        for beta in range(nn + 1 - alpha):
-            for gamma in range(nn + 1 - alpha - beta):
-                strings = placements(alpha, beta, gamma, nn)
-                omega = len(strings)
-                c = np.array([np.sum(rho * selective_operator(s).conj()) for s in strings])
-                for b in range(omega):
-                    phases = np.exp(-2j * np.pi * (np.arange(omega) * b % omega) / omega)
-                    out[CollectiveLabel(alpha, beta, gamma, b)] = complex(phases @ c) / omega
-    return out
+    labels, x = _family_transform(rho, "E", nn)
+    return dict(zip(labels, (x * 2 ** nn).tolist()))
 
 
 def reconstruct_collective(coeffs: dict, n_nodes: int) -> np.ndarray:
-    """Inverse of :func:`decompose_collective`."""
-    dim = 2 ** n_nodes
-    acc = np.zeros((dim, dim), dtype=complex)
-    grouped: dict = {}
+    """Inverse of :func:`decompose_collective`; absent labels count as zero."""
+    labels = _placement_groups("E", n_nodes)[2]
+    rank = dict(zip(labels, range(len(labels))))
+    x = np.zeros(len(labels), dtype=complex)
     for label, value in coeffs.items():
-        grouped.setdefault((label.alpha, label.beta, label.gamma), {})[label.b] = value
-    for (alpha, beta, gamma), by_b in grouped.items():
-        strings = placements(alpha, beta, gamma, n_nodes)
-        omega = len(strings)
-        for p, s in enumerate(strings):
-            weight = sum(
-                value * np.exp(2j * np.pi * ((p * b) % omega) / omega)
-                for b, value in by_b.items()
-            )
-            acc += weight * selective_operator(s)
-    return acc / dim
+        if label not in rank:
+            raise InputError(f"{label} is not a collective label on {n_nodes} nodes")
+        x[rank[label]] = value
+    return _family_operator(x / 2 ** n_nodes, "E", n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +358,21 @@ def family_operators(family: str, n_nodes: int):
 
 
 def decompose_in_family(op, family: str, n_nodes: int) -> tuple[dict, float]:
-    """Solve for coefficients of ``op`` over a family; returns (map, residual).
+    """Coefficients of ``op`` over a family; returns (map, residual).
 
-    The F and G families are complete but not trace-orthogonal, so the
-    coefficients come from a dense linear solve; the reported residual
-    is the max-entry reconstruction error (completeness means ~0).
+    The F and G families are complete but not trace-orthogonal: sigma_+-
+    placements have norm 4 per node where I, X, Y, Z have 2.  Their
+    placements are trace-orthogonal, though, so each group is solved on
+    its own as an inverse DFT of the normalized placement coefficients.
+    The residual is the max-entry error of ``op`` rebuilt from the
+    returned coefficients (completeness means ~0).
     """
-    dim = 2 ** n_nodes
-    labels, columns = [], []
-    for label, mat in family_operators(family, n_nodes):
-        labels.append(label)
-        columns.append(mat.ravel())
-    basis = np.array(columns).T
-    target = np.asarray(op, dtype=complex).ravel()
-    coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    residual = float(np.max(np.abs(basis @ coeffs - target)))
-    return dict(zip(labels, coeffs)), residual
+    if family not in _FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    m = as_operator(op, 2 ** n_nodes)
+    labels, x = _family_transform(m, family, n_nodes)
+    residual = float(np.max(np.abs(_family_operator(x, family, n_nodes) - m)))
+    return dict(zip(labels, x.tolist())), residual
 
 
 def count_parameters(family: str, n_nodes: int) -> int:

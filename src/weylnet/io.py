@@ -33,17 +33,20 @@ def operator_from_dict(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
         rows = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed operator object: {exc}") from exc
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    if not isinstance(rows, list) or len(rows) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in rows):
         raise InputError(f"entries are not a {dim}x{dim} grid")
     m = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             try:
                 m[i, j] = complex(float(cell["re"]), float(cell["im"]))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed entry at ({i},{j}): {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise InputError("operator entries must be finite")
     return m
 
 

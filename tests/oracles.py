@@ -1,0 +1,117 @@
+"""Dense per-label reference routes for the coefficient expansions.
+
+Each function builds one dense matrix per label (Kronecker products of
+single-node matrices) and takes traces, which is how the package
+computed these coefficients before every expansion went through the
+Weyl transform.  They are slow and exist only as test oracles.
+"""
+
+import itertools
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from weylnet.basis import WeylIndex, weyl_matrix
+from weylnet.cluster import kron_all
+from weylnet.collective import (
+    CollectiveLabel,
+    family_operators,
+    multiplicity,
+    placements,
+    selective_operator,
+)
+
+
+def node_labels(dims):
+    """All product labels as per-node (a, b) tuples, lexicographic."""
+    return itertools.product(*[list(itertools.product(range(n), range(n))) for n in dims])
+
+
+@lru_cache(maxsize=None)
+def _node_unitary(a, b, n):
+    return weyl_matrix(WeylIndex(a, b, n))
+
+
+def product_unitary(entries, dims):
+    return kron_all(_node_unitary(a, b, n) for (a, b), n in zip(entries, dims))
+
+
+def weyl_coefficients(op, dims):
+    """tr{op U^dag} per label, shaped (n_1, n_1, ..., n_N, n_N)."""
+    op = np.asarray(op, dtype=complex)
+    out = np.empty(tuple(n for n in dims for _ in range(2)), dtype=complex)
+    for entries in node_labels(dims):
+        u = product_unitary(entries, dims)
+        out[tuple(x for ab in entries for x in ab)] = np.sum(op * u.conj())  # tr{op U^dag}
+    return out
+
+
+def weyl_operator(coeffs, dims):
+    """(1/D) sum u_label U_label from coefficients shaped as above."""
+    d = math.prod(dims)
+    acc = np.zeros((d, d), dtype=complex)
+    for entries in node_labels(dims):
+        acc += coeffs[tuple(x for ab in entries for x in ab)] * product_unitary(entries, dims)
+    return acc / d
+
+
+def cluster_sum(state, subset):
+    """Y(subset): sum of |tr{rho Q^dag}|^2 over labels supported exactly on subset."""
+    total = 0.0
+    for entries in node_labels(state.dims):
+        support = tuple(i for i, ab in enumerate(entries) if ab != (0, 0))
+        if support == tuple(sorted(subset)):
+            q = product_unitary(entries, state.dims)
+            total += abs(np.sum(state.rho * q.conj())) ** 2
+    return total
+
+
+def generator_matrix(h):
+    """Omega_ij = (i/n) tr{H [U_i^dag, U_j]} by explicit matrix commutators."""
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    ops = [weyl_matrix(WeylIndex(i // n, i % n, n)) for i in range(n * n)]
+    omega = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n * n):
+        di = ops[i].conj().T
+        for j in range(n * n):
+            omega[i, j] = 1j / n * np.trace(h @ (di @ ops[j] - ops[j] @ di))
+    return omega[1:, 1:]
+
+
+def rotation_matrix(u):
+    """T_ij = (1/n) tr{U_j U^dag U_i^dag U} by explicit products."""
+    u = np.asarray(u, dtype=complex)
+    n = u.shape[0]
+    ops = [weyl_matrix(WeylIndex(i // n, i % n, n)) for i in range(n * n)]
+    t = np.array([[np.trace(ops[j] @ u.conj().T @ ops[i].conj().T @ u) for j in range(n * n)]
+                  for i in range(n * n)]) / n
+    return t[1:, 1:]
+
+
+def decompose_collective(rho, n_nodes):
+    """E_{abg,b} = (1/Omega) sum_p w^(-pb) tr{rho C_p^dag}, one Kronecker product per placement."""
+    out = {}
+    for alpha in range(n_nodes + 1):
+        for beta in range(n_nodes + 1 - alpha):
+            for gamma in range(n_nodes + 1 - alpha - beta):
+                strings = placements(alpha, beta, gamma, n_nodes)
+                omega = multiplicity(alpha, beta, gamma, n_nodes)
+                c = np.array([np.sum(rho * selective_operator(s).conj()) for s in strings])
+                for b in range(omega):
+                    phases = np.exp(-2j * np.pi * (np.arange(omega) * b % omega) / omega)
+                    out[CollectiveLabel(alpha, beta, gamma, b)] = complex(phases @ c) / omega
+    return out
+
+
+def decompose_in_family(op, family, n_nodes):
+    """Least-squares solve over the dense 4^N x 4^N matrix of family members."""
+    labels, columns = [], []
+    for label, mat in family_operators(family, n_nodes):
+        labels.append(label)
+        columns.append(mat.ravel())
+    basis = np.array(columns).T
+    target = np.asarray(op, dtype=complex).ravel()
+    coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return dict(zip(labels, coeffs))

@@ -68,6 +68,14 @@ class TestGoldenMatrices:
         with pytest.raises(InputError):
             WeylIndex(0, 0, 1)
 
+    @pytest.mark.parametrize("args", [(0.5, 0, 2), (0, 1.0, 2), (1, 0, 3.0), ("1", 0, 2)])
+    def test_non_integral_indices_rejected(self, args):
+        with pytest.raises(InputError):
+            WeylIndex(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert WeylIndex(np.int64(1), np.int32(2), np.int64(3)).single_index == 5
+
 
 class TestProducts:
     def test_product_example_n3(self):

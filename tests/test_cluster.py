@@ -284,6 +284,15 @@ class TestProductStateTest:
         assert result.non_product
         assert result.partition_product < 1e-10
 
+    def test_witness_search_sums_once(self, monkeypatch):
+        calls = []
+        real = cluster.cluster_sums
+        monkeypatch.setattr(cluster, "cluster_sums", lambda st: calls.append(1) or real(st))
+        v = np.zeros(16, dtype=complex)
+        v[5] = 1.0  # |0101>, product: all 14 partitions are scanned
+        assert cluster.find_non_product_witness(NetworkState.from_pure(v, (2,) * 4)) is None
+        assert len(calls) == 1
+
     def test_overlapping_partition_rejected(self):
         with pytest.raises(InputError):
             cluster.product_state_test(bell_state(), [(0,), (0, 1)])
@@ -301,6 +310,23 @@ class TestValidationAndCaps:
     def test_bad_vector_norm(self):
         with pytest.raises(InputError):
             NetworkState.from_pure(np.array([1.0, 1.0, 0, 0]), (2, 2))
+
+    def test_dim_cap_does_not_overflow(self):
+        # 10^40 wraps around in int64; the cap must see the true product
+        with pytest.raises(CapExceeded):
+            NetworkState.from_pure(np.ones(1), (10 ** 5,) * 8)
+        st = bell_state()
+        assert st.total_dim == 4 and isinstance(st.total_dim, int)
+
+    def test_non_finite_states_rejected(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 0] = np.nan
+        with pytest.raises(InputError):
+            NetworkState.from_rho(rho, (2, 2))
+        with pytest.raises(InputError):
+            NetworkState.from_pure(np.array([np.nan, 0, 0, 0]), (2, 2))
+        with pytest.raises(InputError):
+            NetworkState.from_pure(np.array([np.inf, 0, 0, 0]), (2, 2))
 
     def test_correlation_order_cap(self):
         with pytest.raises(InputError):

@@ -73,6 +73,9 @@ class TestExpansion:
         neg = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(InputError):
             coherence.expand_state(neg)  # not PSD
+        nan = np.diag([np.nan, 0.5]).astype(complex)
+        with pytest.raises(InputError):
+            coherence.validate_state(nan)  # every NaN comparison is False
 
 
 class TestRotationMatrix:

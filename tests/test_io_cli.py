@@ -60,6 +60,25 @@ class TestSerialization:
         with pytest.raises(InputError):
             io.state_from_json(io.operator_to_json(np.eye(2)))  # no dims
 
+    @pytest.mark.parametrize("cell", ['{"re": "nan", "im": 0}', '{"re": 0.5, "im": Infinity}',
+                                      '{"re": "x", "im": 0}'])
+    def test_non_finite_or_non_numeric_entry_rejected(self, cell):
+        text = '{"dim": 1, "entries": [[%s]]}' % cell
+        with pytest.raises(InputError):
+            io.operator_from_json(text)
+
+    @pytest.mark.parametrize("text", ['{"dim": 2, "entries": 5, "dims": [2]}',
+                                      '{"dim": "two", "entries": [], "dims": [2]}'])
+    def test_malformed_grid_rejected(self, text):
+        with pytest.raises(InputError):
+            io.state_from_json(text)
+
+    def test_malformed_dims_rejected(self):
+        data = json.loads(io.operator_to_json(np.eye(2) / 2))
+        data["dims"] = ["x"]
+        with pytest.raises(InputError):
+            io.state_from_json(json.dumps(data))
+
 
 class TestCliCommands:
     def test_basis_matches_tabulated_n3(self, runner):
@@ -181,6 +200,16 @@ class TestCliCommands:
         path = tmp_path / "bad.json"
         path.write_text("{]")
         assert runner.invoke(main, ["analyze", str(path)]).exit_code == 2
+
+    def test_analyze_nan_state_exits_2(self, runner, tmp_path):
+        data = json.loads(io.operator_to_json(np.eye(4) / 4))
+        data["dims"] = [2, 2]
+        data["entries"][1][1]["re"] = "nan"
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
     def test_cap_exit_code(self, runner, tmp_path):
         st = NetworkState.from_pure(cat_state(2, (0,) * 8), (2,) * 8)
