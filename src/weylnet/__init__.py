@@ -56,7 +56,6 @@ from .commuting import (
     search_max_commuting,
 )
 from .errors import (
-    BudgetExhausted,
     CapExceeded,
     DimensionMismatch,
     InputError,
@@ -68,6 +67,7 @@ from .protocols import (
     PulseSchedule,
     Segment,
     collective_control,
+    collective_control_states,
     cyclic_to_pi_pulses,
     echo_schedule,
     evolve,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import basis, cat, cluster, collective, commuting, protocols, symmetry
 from .coherence import expand_state
-from .errors import BudgetExhausted, CapExceeded, InputError, VerificationFailure, WeylnetError
+from .errors import CapExceeded, InputError, VerificationFailure, WeylnetError
 from .io import csv_lines, operator_from_json, state_from_json
 
 EXIT_BAD_INPUT = 2
@@ -36,7 +36,7 @@ def _run(fn):
         fn()
     except (InputError, click.UsageError) as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    except (CapExceeded, BudgetExhausted) as exc:
+    except CapExceeded as exc:
         _fail(EXIT_CAP, str(exc))
     except (VerificationFailure,) as exc:
         _fail(EXIT_VERIFY, str(exc))
@@ -147,8 +147,12 @@ def cmd_table_csum(ctx, n_list, n_max, budget, vertex_cap, output):
         nmax = _option(n_max, config, "n_max", int, 6)
         bud = _option(budget, config, "budget", int, 150_000)
         vcap = _option(vertex_cap, config, "vertex_cap", int, 1000)
+        try:
+            dims = [int(x) for x in n_list.split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad --n list: {exc}") from exc
         rows = []
-        for n in [int(x) for x in n_list.split(",")]:
+        for n in dims:
             top = nmax if n < 4 else min(nmax, 5)
             for n_nodes in range(1, top + 1):
                 a = commuting.method_a_size(n, n_nodes)
@@ -284,7 +288,7 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
 @click.option("--trajectory-out", type=click.Path(), default=None,
               help="CSV trajectory of --initial-basis over the pulse")
 @click.option("--initial-basis", type=int, default=0, show_default=True)
-@click.option("--steps", type=int, default=32, show_default=True)
+@click.option("--steps", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
 def cmd_control(ctx, n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, output):
@@ -294,7 +298,7 @@ def cmd_control(ctx, n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, 
 
         area = _parse_angle(alpha_t)
         mm = int(m)
-        u = protocols.collective_control(mm, area, n_nodes)
+        protocols.check_collective_drive(mm, n_nodes)
         if trajectory_out is not None:
             dim = 2 ** n_nodes
             if not 0 <= initial_basis < dim:
@@ -302,17 +306,18 @@ def cmd_control(ctx, n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, 
             psi = np.zeros(dim, dtype=complex)
             psi[initial_basis] = 1.0
             times = np.linspace(0.0, area, steps + 1)
-            states = [protocols.collective_control(mm, float(t), n_nodes) @ psi for t in times]
+            states = protocols.collective_control_states(mm, times, n_nodes, psi)
             with open(trajectory_out, "w") as fh:
                 fh.write(trajectory_csv(times, states))
         rows = []
         ident_residual = float("nan")
         if mm == 1 and abs(area - math.pi / 2) < 1e-12:
+            u = protocols.collective_control(mm, area, n_nodes)
             target = (-1j) ** n_nodes * collective.collective_operator(
                 collective.CollectiveLabel(n_nodes, 0, 0, 0), n_nodes)
             ident_residual = float(np.max(np.abs(u - target)))
         if mm == 2 and n_nodes % 2 == 1 and abs(area - math.pi / 2) < 1e-12:
-            ident_residual = protocols.phase_distance(u)
+            ident_residual = protocols.phase_distance(protocols.collective_control(mm, area, n_nodes))
         fidelity = float("nan")
         if n_nodes % 2 == 0:
             fidelity = protocols.cat_creation_fidelity(n_nodes)
@@ -324,12 +329,20 @@ def cmd_control(ctx, n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, 
 
 
 def _parse_angle(text: str) -> float:
+    """A finite pulse area: a number, "pi" or "pi/<number>"."""
     text = text.strip()
-    if text in ("pi", "PI"):
-        return math.pi
-    if text.startswith("pi/"):
-        return math.pi / float(text[3:])
-    return float(text)
+    try:
+        if text in ("pi", "PI"):
+            value = math.pi
+        elif text.startswith("pi/"):
+            value = math.pi / float(text[3:])
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad pulse area {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"pulse area must be finite, got {text!r}")
+    return value
 
 
 @main.command("gray")

@@ -31,7 +31,6 @@ FFT over that group's placement coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,14 +81,30 @@ def multiplicity(alpha: int, beta: int, gamma: int, n_nodes: int) -> int:
     )
 
 
+def _arrangements(letters: str, counts: tuple[int, ...]) -> list[str]:
+    """All distinct strings with counts[i] copies of letters[i], in lexicographic order.
+
+    ``letters`` must be sorted.  Each string is built once, first letter
+    first, so the cost is the output size times its length (no N! pass
+    over repeated permutations).
+    """
+    if not any(counts):
+        return [""]
+    out = []
+    for i, c in enumerate(counts):
+        if c:
+            rest = counts[:i] + (c - 1,) + counts[i + 1:]
+            out += [letters[i] + s for s in _arrangements(letters, rest)]
+    return out
+
+
 @lru_cache(maxsize=None)
 def placements(alpha: int, beta: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
     """Lexicographically ordered placement strings over {I, X, Y, Z}."""
     rest = n_nodes - alpha - beta - gamma
     if rest < 0:
         raise InputError(f"multiplicities ({alpha},{beta},{gamma}) exceed N={n_nodes}")
-    chars = "I" * rest + "X" * alpha + "Y" * beta + "Z" * gamma
-    return tuple(sorted({"".join(p) for p in itertools.permutations(chars)}))
+    return tuple(_arrangements("IXYZ", (rest, alpha, beta, gamma)))
 
 
 def selective_operator(placement: str) -> np.ndarray:
@@ -212,11 +227,17 @@ def _placement_groups(family: str, n_nodes: int) -> tuple[np.ndarray, tuple, tup
 
 
 def _per_node(mat: np.ndarray, t: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Apply a 4 x 4 matrix on every node of a flat base-4 array (node 1 first)."""
+    """Apply a d x d matrix on every base-d digit of the leading axis of t (node 1 first).
+
+    The leading axis has length d^N; any further axes are carried along,
+    so a stack of columns is transformed column by column.
+    """
+    d = mat.shape[0]
+    shape = t.shape
     for _ in range(n_nodes):
-        # transform the leading node, then rotate it to the back
-        t = (mat @ t.reshape(4, -1)).T.ravel()
-    return t
+        # transform the leading node, then rotate it behind the other nodes
+        t = np.moveaxis((mat @ t.reshape(d, -1)).reshape(d, -1, *shape[1:]), 0, 1)
+    return t.reshape(shape)
 
 
 def _family_transform(op, family: str, n_nodes: int) -> tuple[tuple, np.ndarray]:
@@ -291,14 +312,12 @@ def f_placements(z: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
     by one permutation label, which keeps the phase transform an
     invertible DFT and the family complete.
     """
-    out = set()
+    out = []
     for alpha in range(n_nodes + 1):
         beta = alpha - z
         if beta < 0 or alpha + beta + gamma > n_nodes:
             continue
-        rest = n_nodes - alpha - beta - gamma
-        chars = "I" * rest + "M" * beta + "P" * alpha + "Z" * gamma
-        out |= {"".join(p) for p in itertools.permutations(chars)}
+        out += _arrangements("IMPZ", (n_nodes - alpha - beta - gamma, beta, alpha, gamma))
     return tuple(sorted(out))
 
 
@@ -320,12 +339,10 @@ def g_labels(n_nodes: int):
 @lru_cache(maxsize=None)
 def g_placements(m: int, n_nodes: int) -> tuple[str, ...]:
     """All placements of m non-identity factors of any type; 3^m C(N,m)."""
-    out = set()
+    out = []
     for alpha in range(m + 1):
         for beta in range(m + 1 - alpha):
-            gamma = m - alpha - beta
-            chars = "I" * (n_nodes - m) + "X" * alpha + "Y" * beta + "Z" * gamma
-            out |= {"".join(p) for p in itertools.permutations(chars)}
+            out += _arrangements("IXYZ", (n_nodes - m, alpha, beta, m - alpha - beta))
     return tuple(sorted(out))
 
 

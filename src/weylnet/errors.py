@@ -17,9 +17,5 @@ class CapExceeded(WeylnetError):
     """A requested computation exceeds a configured size cap."""
 
 
-class BudgetExhausted(WeylnetError):
-    """An iterative search ran out of its node/time budget."""
-
-
 class VerificationFailure(WeylnetError):
     """An internal self-check did not hold to its stated tolerance."""

@@ -1,9 +1,11 @@
-"""Dense per-label reference routes for the coefficient expansions.
+"""Dense reference routes for the transforms the package uses.
 
-Each function builds one dense matrix per label (Kronecker products of
-single-node matrices) and takes traces, which is how the package
-computed these coefficients before every expansion went through the
-Weyl transform.  They are slow and exist only as test oracles.
+Each coefficient expansion here builds one dense matrix per label
+(Kronecker products of single-node matrices) and takes traces, which is
+how the package computed these coefficients before every expansion went
+through the Weyl transform.  The collective control pulse is the dense
+drive exponentiated by diagonalization, and placements are deduplicated
+permutations.  They are slow and exist only as test oracles.
 """
 
 import itertools
@@ -16,11 +18,13 @@ from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.cluster import kron_all
 from weylnet.collective import (
     CollectiveLabel,
+    collective_operator,
     family_operators,
     multiplicity,
     placements,
     selective_operator,
 )
+from weylnet.protocols import hermitian_expm
 
 
 def node_labels(dims):
@@ -115,3 +119,13 @@ def decompose_in_family(op, family, n_nodes):
     target = np.asarray(op, dtype=complex).ravel()
     coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
     return dict(zip(labels, coeffs))
+
+
+def collective_control(m, alpha_t, n_nodes):
+    """exp(-i alpha_t E_{m00,0}) from the dense drive and its eigendecomposition."""
+    return hermitian_expm(collective_operator(CollectiveLabel(m, 0, 0, 0), n_nodes), alpha_t)
+
+
+def arrangements(chars):
+    """Distinct orderings of ``chars``, sorted, by deduplicating all N! permutations."""
+    return tuple(sorted({"".join(p) for p in itertools.permutations(chars)}))

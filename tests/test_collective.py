@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from weylnet import collective
 from weylnet.cluster import kron_all
 from weylnet.collective import (
@@ -43,6 +44,35 @@ class TestPlacements:
                 for b in range(n_nodes + 1 - a):
                     for g in range(n_nodes + 1 - a - b):
                         assert len(placements(a, b, g, n_nodes)) == collective.multiplicity(a, b, g, n_nodes)
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 6])
+    def test_matches_permutation_oracle(self, n_nodes):
+        for a in range(n_nodes + 1):
+            for b in range(n_nodes + 1 - a):
+                for g in range(n_nodes + 1 - a - b):
+                    chars = "I" * (n_nodes - a - b - g) + "X" * a + "Y" * b + "Z" * g
+                    assert placements(a, b, g, n_nodes) == oracles.arrangements(chars)
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5])
+    def test_f_and_g_match_permutation_oracle(self, n_nodes):
+        for z, gamma in collective.f_labels(n_nodes):
+            expected = []
+            for plus in range(n_nodes + 1):
+                minus, rest = plus - z, n_nodes - 2 * plus + z - gamma
+                if minus >= 0 and rest >= 0:
+                    expected += oracles.arrangements("I" * rest + "M" * minus + "P" * plus + "Z" * gamma)
+            assert collective.f_placements(z, gamma, n_nodes) == tuple(sorted(expected))
+        for m in collective.g_labels(n_nodes):
+            expected = []
+            for a in range(m + 1):
+                for b in range(m + 1 - a):
+                    expected += oracles.arrangements("I" * (n_nodes - m) + "X" * a + "Y" * b + "Z" * (m - a - b))
+            assert collective.g_placements(m, n_nodes) == tuple(sorted(expected))
+
+    def test_large_classes_without_factorial_work(self):
+        # deduplicating 12! permutations would take minutes
+        assert placements(12, 0, 0, 12) == ("X" * 12,)
+        assert placements(1, 0, 0, 12) == tuple("I" * (11 - k) + "X" + "I" * k for k in range(12))
 
     @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5, 6])
     def test_total_is_four_to_n(self, n_nodes):

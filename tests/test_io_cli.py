@@ -1,11 +1,16 @@
 """Serialization round trips and command-line behavior."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from weylnet import io
 from weylnet.cat import cat_state
 from weylnet.cli import main
@@ -278,6 +283,44 @@ class TestCliCommands:
         # ends in the two-branch superposition: |amp|^2 = 1/2 on |00> and |11>
         assert abs(final[1] ** 2 + final[2] ** 2 - 0.5) < 1e-10
         assert abs(final[7] ** 2 + final[8] ** 2 - 0.5) < 1e-10
+
+    @pytest.mark.parametrize("area", ["pi/0", "inf", "nan", "-inf", "pi/x", "abc"])
+    def test_control_bad_area_exits_2(self, runner, area):
+        result = runner.invoke(main, ["control", "--nodes", "2", "--alpha-t", area])
+        assert result.exit_code == 2, result.output
+        assert "pulse area" in result.output
+
+    def test_control_negative_steps_exits_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["control", "--nodes", "2", "--steps", "-1",
+                                      "--trajectory-out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2, result.output
+
+    def test_control_too_large_exits_3(self, runner):
+        assert runner.invoke(main, ["control", "--nodes", "40"]).exit_code == 3
+
+    def test_table_csum_bad_dimension_list_exits_2(self, runner):
+        result = runner.invoke(main, ["table-csum", "--n", "abc"])
+        assert result.exit_code == 2, result.output
+        assert "--n" in result.output
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["1", "2"]), st.floats(-4.0, 4.0, allow_nan=False),
+           st.integers(0, 63), st.integers(1, 8))
+    def test_control_trajectory_matches_dense_oracle(self, m, area, basis_index, steps):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "traj.csv")
+            result = CliRunner().invoke(main, [
+                "control", "--nodes", "6", "--m", m, "--alpha-t", repr(area),
+                "--trajectory-out", path, "--steps", str(steps),
+                "--initial-basis", str(basis_index)])
+            assert result.exit_code == 0, result.output
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        times = np.linspace(0.0, area, steps + 1)
+        assert np.array_equal(rows[:, 0], times)
+        got = rows[:, 1::2] + 1j * rows[:, 2::2]
+        for t, state in zip(times, got):
+            expected = oracles.collective_control(int(m), t, 6)[:, basis_index]
+            assert np.max(np.abs(state - expected)) < 1e-12
 
     def test_deterministic_output(self, runner):
         a = runner.invoke(main, ["--seed", "0", "echo", "--dim", "5", "--dt", "1.0"]).output

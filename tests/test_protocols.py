@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from weylnet import protocols
 from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.collective import CollectiveLabel, collective_operator
@@ -14,16 +18,20 @@ from weylnet.protocols import (
     Segment,
     cat_creation_fidelity,
     collective_control,
+    collective_control_states,
     cyclic_to_pi_pulses,
     echo_schedule,
     evolve,
     gray_sequence,
     hermitian_expm,
-    pade_expm,
     phase_distance,
     reflected_gray_codes,
     selective_network_echo,
 )
+
+
+# derandomized so every run checks the same examples; no example database
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def random_traceless(n, rng, diagonal=False):
@@ -83,7 +91,7 @@ class TestSegmentsAndEvolve:
         rng = np.random.default_rng(2)
         h = random_traceless(5, rng)
         a = hermitian_expm(h, 1.3)
-        b = pade_expm(-1.3j * h)
+        b = scipy.linalg.expm(-1.3j * h)
         assert np.max(np.abs(a - b)) < 1e-13 * np.linalg.norm(a)
 
 
@@ -224,6 +232,40 @@ class TestCollectiveControl:
     def test_m_range(self):
         with pytest.raises(InputError):
             collective_control(3, 0.1, 2)
+        with pytest.raises(InputError):
+            collective_control(2, 0.1, 1)  # no pair of nodes
+        with pytest.raises(CapExceeded):
+            collective_control_states(2, [0.1], 40, np.zeros(1))  # refused before allocating
+
+    def test_states_validation(self):
+        with pytest.raises(InputError):
+            collective_control_states(1, [float("nan")], 2, np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            collective_control_states(1, [0.1], 3, np.ones(4))
+
+
+drive_orders = st.sampled_from([1, 2])
+pulse_times = st.floats(-10.0, 10.0, allow_nan=False)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestCollectiveControlProperties:
+    @PROPERTY
+    @given(drive_orders, st.integers(2, 7), st.lists(pulse_times, min_size=1, max_size=4), seeds)
+    def test_states_match_dense_oracle(self, m, n_nodes, times, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=2 ** n_nodes) + 1j * rng.normal(size=2 ** n_nodes)
+        psi /= np.linalg.norm(psi)
+        got = collective_control_states(m, times, n_nodes, psi)
+        assert got.shape == (len(times), 2 ** n_nodes)
+        for t, state in zip(times, got):
+            assert np.max(np.abs(state - oracles.collective_control(m, t, n_nodes) @ psi)) < 1e-12
+
+    @PROPERTY
+    @given(drive_orders, st.integers(2, 7), pulse_times)
+    def test_unitary_matches_dense_oracle(self, m, n_nodes, t):
+        got = collective_control(m, t, n_nodes)
+        assert np.max(np.abs(got - oracles.collective_control(m, t, n_nodes))) < 1e-12
 
 
 class TestNetworkEcho:
