@@ -135,9 +135,12 @@ def cmd_basis(ctx, n):
 
 @main.command("table-csum")
 @click.option("--n", "n_list", default="2,3,4", help="comma-separated node dimensions")
-@click.option("--n-max", "n_max", type=int, default=None, help="largest network size N")
-@click.option("--budget", type=int, default=None, help="clique-search node budget")
-@click.option("--vertex-cap", type=int, default=None, help="graph-size cap for exact search")
+@click.option("--n-max", "n_max", type=click.IntRange(min=1), default=None,
+              help="largest network size N")
+@click.option("--budget", type=click.IntRange(min=1), default=None,
+              help="clique-search node budget")
+@click.option("--vertex-cap", type=click.IntRange(min=1), default=None,
+              help="graph-size cap for exact search")
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
 def cmd_table_csum(ctx, n_list, n_max, budget, vertex_cap, output):
@@ -317,7 +320,7 @@ def cmd_control(ctx, n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, 
                 collective.CollectiveLabel(n_nodes, 0, 0, 0), n_nodes)
             ident_residual = float(np.max(np.abs(u - target)))
         if mm == 2 and n_nodes % 2 == 1 and abs(area - math.pi / 2) < 1e-12:
-            ident_residual = protocols.phase_distance(protocols.collective_control(mm, area, n_nodes))
+            ident_residual = protocols.collective_control_phase_distance(mm, area, n_nodes)
         fidelity = float("nan")
         if n_nodes % 2 == 0:
             fidelity = protocols.cat_creation_fidelity(n_nodes)
@@ -377,7 +380,12 @@ def cmd_invariants(ctx, model, params, total_time, output):
         }[model]
         kwargs = dict(defaults)
         if params:
-            values = [float(x) for x in params.split(",")]
+            try:
+                values = [float(x) for x in params.split(",")]
+            except ValueError as exc:
+                raise InputError(f"bad --params list: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise InputError(f"--params must be finite, got {params!r}")
             if len(values) != len(kwargs):
                 raise InputError(f"{model} takes {len(kwargs)} parameters {tuple(kwargs)}")
             kwargs = dict(zip(kwargs, values))

@@ -181,30 +181,44 @@ def reduced_state(state: NetworkState, keep) -> np.ndarray:
     if not keep:
         return np.array([[1.0 + 0j]])
     if state.is_pure_vector:
-        rest = [i for i in range(state.n_nodes) if i not in keep]
-        v = state.psi.reshape(state.dims).transpose(keep + tuple(rest))
-        d = int(np.prod([state.dims[i] for i in keep]))
-        m = v.reshape(d, -1)
+        m = _schmidt_matrix(state, keep)
+        return m @ m.conj().T
+    return partial_trace(state.rho, state.dims, keep)
+
+
+def _schmidt_matrix(state: NetworkState, keep: tuple[int, ...]) -> np.ndarray:
+    """The state vector as a (kept nodes) x (other nodes) matrix."""
+    rest = tuple(i for i in range(state.n_nodes) if i not in keep)
+    v = state.psi.reshape(state.dims).transpose(keep + rest)
+    return v.reshape(math.prod(state.dims[i] for i in keep), -1)
+
+
+def _spectral_side(state: NetworkState, keep) -> np.ndarray:
+    """A matrix with the nonzero spectrum of the reduced state on ``keep``.
+
+    On pure-vector states this is the smaller of the two Gram matrices of
+    the Schmidt matrix (complementary reductions share their nonzero
+    spectrum); otherwise the reduced state itself.
+    """
+    keep = tuple(sorted(keep))
+    if not keep:
+        return np.array([[1.0 + 0j]])
+    if state.is_pure_vector:
+        m = _schmidt_matrix(state, keep)
+        if m.shape[0] > m.shape[1]:
+            m = m.T
         return m @ m.conj().T
     return partial_trace(state.rho, state.dims, keep)
 
 
 def reduced_purity(state: NetworkState, keep) -> float:
     """tr{rho_S^2} for the subset S, via the cheaper Gram side on pure states."""
-    keep = tuple(sorted(keep))
-    if not keep:
-        return 1.0
-    if state.is_pure_vector:
-        rest = tuple(i for i in range(state.n_nodes) if i not in keep)
-        v = state.psi.reshape(state.dims).transpose(keep + rest)
-        d = int(np.prod([state.dims[i] for i in keep]))
-        m = v.reshape(d, -1)
-        if m.shape[0] > m.shape[1]:
-            m = m.T  # complementary reductions share their nonzero spectrum
-        g = m @ m.conj().T
-        return float(np.sum(np.abs(g) ** 2))
-    r = partial_trace(state.rho, state.dims, keep)
-    return float(np.sum(np.abs(r) ** 2))
+    return float(np.sum(np.abs(_spectral_side(state, keep)) ** 2))
+
+
+def reduced_entropy(state: NetworkState, keep) -> float:
+    """Von Neumann entropy of rho_S in bits, via the cheaper Gram side on pure states."""
+    return entropy_bits(_spectral_side(state, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +402,7 @@ def purity_factors(state: NetworkState, cross_check_atol: float = 1e-9) -> Purit
                 subset=subset,
                 p=float(direct),
                 p_from_sums=float(from_sums),
-                entropy=entropy_bits(reduced_state(state, subset)),
+                entropy=reduced_entropy(state, subset),
             )
     return PurityReport(n=n, rows=rows)
 

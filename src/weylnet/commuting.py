@@ -12,12 +12,14 @@ the two closed-form constructions (per-node single-particle sets and
 mirrored index pairs) this module carries an exact branch-and-bound
 maximum-clique search with greedy-coloring bounds, and computes common
 eigenstates after completing a set to a full commuting group of n^N
-index vectors.
+index vectors, by projecting a basis vector onto an eigenspace of each
+generator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,85 +150,76 @@ def commutation_graph(labels: list[ProductLabel]) -> list[int]:
     if not labels:
         return []
     n = labels[0].dims[0]
-    m = len(labels)
     av = np.array([[e[0] for e in lab.entries] for lab in labels], dtype=np.int64)
     bv = np.array([[e[1] for e in lab.entries] for lab in labels], dtype=np.int64)
-    form = (av @ bv.T - bv @ av.T) % n
-    adj = []
-    for i in range(m):
-        row = np.flatnonzero(form[i] == 0)
-        mask = 0
-        for j in row:
-            mask |= 1 << int(j)
-        mask &= ~(1 << i)
-        adj.append(mask)
-    return adj
+    commute = (av @ bv.T - bv @ av.T) % n == 0
+    np.fill_diagonal(commute, False)
+    rows = np.packbits(commute, axis=1, bitorder="little")  # bit j of row i is column j
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+class _OutOfBudget(Exception):
+    pass
 
 
-class _CliqueSearch:
-    """Branch-and-bound maximum clique with greedy coloring bounds."""
+def max_clique(adj: list[int], initial: list[int], budget: int) -> tuple[list[int], int, bool]:
+    """Branch-and-bound maximum clique with greedy coloring bounds.
 
-    def __init__(self, adj: list[int], budget: int):
-        self.adj = adj
-        self.budget = budget
-        self.expansions = 0
-        self.exhausted = False
-        self.best: list[int] = []
+    Each node colors its candidate set greedily, class by class in
+    ascending vertex order, and branches on the vertices from the highest
+    color down until the color bound can no longer beat the incumbent.
+    Vertices whose color is already too low to branch on are colored but
+    not recorded, and each colored vertex costs one AND with its
+    precomputed non-neighbourhood (the bit-parallel coloring of San
+    Segundo et al., 2011).  Returns (best clique, expansions, exhausted):
+    ``exhausted`` is True when more than ``budget`` nodes were needed,
+    and the best clique is then the best found so far.
+    """
+    nadj = [~(mask | 1 << v) for v, mask in enumerate(adj)]
+    best = list(initial)
+    expansions = 0
 
-    def run(self, initial: list[int]) -> list[int]:
-        self.best = list(initial)
-        full = (1 << len(self.adj)) - 1
-        try:
-            self._expand([], full)
-        except _OutOfBudget:
-            self.exhausted = True
-        return self.best
-
-    def _color_sort(self, cand: int):
-        """Greedy coloring; returns vertices ordered by ascending color."""
-        order, colors = [], []
+    def expand(clique: list[int], cand: int):
+        nonlocal best, expansions
+        expansions += 1
+        if expansions > budget:
+            raise _OutOfBudget
+        kmin = len(best) - len(clique)
+        branch = []  # (vertex, color) for colors above kmin, ascending color
         color = 0
         rest = cand
         while rest:
             color += 1
             avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                avail &= ~self.adj[v]
-                avail &= ~(1 << v)
-                rest &= ~(1 << v)
-        return order, colors
-
-    def _expand(self, clique: list[int], cand: int):
-        self.expansions += 1
-        if self.expansions > self.budget:
-            raise _OutOfBudget
-        order, colors = self._color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if len(clique) + colors[i] <= len(self.best):
+            if color > kmin:
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    branch.append((v, color))
+                    rest ^= low
+                    avail &= nadj[v]
+            else:
+                while avail:
+                    low = avail & -avail
+                    rest ^= low
+                    avail &= nadj[low.bit_length() - 1]
+        for v, color in reversed(branch):
+            if len(clique) + color <= len(best):
                 return
-            v = order[i]
             clique.append(v)
-            nxt = cand & self.adj[v]
+            nxt = cand & adj[v]
             if nxt:
-                self._expand(clique, nxt)
-            elif len(clique) > len(self.best):
-                self.best = clique.copy()
+                expand(clique, nxt)
+            elif len(clique) > len(best):
+                best = clique.copy()
             clique.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v
 
-
-class _OutOfBudget(Exception):
-    pass
+    try:
+        expand([], (1 << len(adj)) - 1)
+    except _OutOfBudget:
+        return best, expansions, True
+    return best, expansions, False
 
 
 def cat_seed_clique(n: int, n_nodes: int) -> list[int]:
@@ -274,6 +267,8 @@ def search_max_commuting(
     node budget returns the incumbent tagged heuristic instead of
     aborting.
     """
+    if budget < 1:
+        raise InputError(f"search budget must be >= 1, got {budget}")
     n_vertices = (n * n - 1) ** n_nodes
     if n_vertices > vertex_cap:
         raise CapExceeded(
@@ -289,14 +284,13 @@ def search_max_commuting(
         cat_seed_clique(n, n_nodes),
     ]
     incumbent = max(seeds, key=len)
-    search = _CliqueSearch(adj, budget)
-    best = search.run(incumbent)
+    best, expansions, exhausted = max_clique(adj, incumbent, budget)
     members = tuple(sorted(labels[v] for v in best))
-    method = "C-heuristic" if search.exhausted else "C-exact"
+    method = "C-heuristic" if exhausted else "C-exact"
     return SearchResult(
         commuting_set=CommutingSet(n=n, n_nodes=n_nodes, members=members, method=method),
-        exact=not search.exhausted,
-        expansions=search.expansions,
+        exact=not exhausted,
+        expansions=expansions,
         n_vertices=n_vertices,
     )
 
@@ -349,6 +343,11 @@ def complete_commuting_group(
     the group reaches order n^N or no candidate remains.  The achieved
     size is reported by the caller, never assumed.
     """
+    return sorted(_complete_group(members, n, n_nodes, scan_cap)[0])
+
+
+def _complete_group(members, n: int, n_nodes: int, scan_cap: int = 200_000):
+    """(group, generators): the completed group and the members' vectors plus those adjoined."""
     space = n ** (2 * n_nodes)
     if space > scan_cap:
         raise CapExceeded(f"completion scan over {space} vectors exceeds cap {scan_cap}")
@@ -365,7 +364,40 @@ def complete_commuting_group(
                 group = _group_closure(set(generators), n)
                 if len(group) >= target:
                     break
-    return sorted(group)
+    return group, generators
+
+
+def _weyl_action(vecs, psi: np.ndarray, n: int, n_nodes: int) -> np.ndarray:
+    """U_v psi for each index vector v = (a_1, b_1, ..., a_N, b_N), stacked as rows.
+
+    U_ab|j> = w^(bj)|j+a> on every node: a phase multiply and a cyclic
+    shift of the node digits of the basis index (node 1 most
+    significant), with no matrix.
+    """
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 2 * n_nodes)
+    a, b = vecs[:, 0::2], vecs[:, 1::2]
+    digits = np.indices((n,) * n_nodes).reshape(n_nodes, -1)
+    phased = np.exp(2j * np.pi * ((b @ digits) % n) / n) * psi
+    place = n ** np.arange(n_nodes - 1, -1, -1)
+    source = np.einsum("k,gkj->gj", place, (digits - a[:, :, None]) % n)  # index of |j - a>
+    return np.take_along_axis(phased, source, axis=1)
+
+
+def _eigen_component(g: tuple[int, ...], psi: np.ndarray, n: int, n_nodes: int) -> np.ndarray:
+    """Largest eigen-component of psi under U_g, normalized.
+
+    With k the additive order of g, U_g^k = c 1, and the eigenvalues of
+    U_g are the k-th roots of c.  The component on the root lambda is
+    (1/k) sum_j (U_g/lambda)^j psi; one FFT over j gives all k of them.
+    """
+    k = n // math.gcd(n, *g)
+    powers = [psi]
+    for _ in range(k):
+        powers.append(_weyl_action(g, powers[-1], n, n_nodes)[0])
+    root = np.exp(1j * np.angle(np.vdot(psi, powers[k])) / k)
+    parts = np.fft.fft(root ** -np.arange(k)[:, None] * np.array(powers[:k]), axis=0) / k
+    best = parts[np.argmax(np.linalg.norm(parts, axis=1))]
+    return best / np.linalg.norm(best)
 
 
 @dataclass
@@ -384,56 +416,37 @@ class CommonEigenstate:
         return self.completion_size == self.target_size
 
 
-def common_eigenstate(cset: CommutingSet, seed: int = 0, max_tries: int = 25) -> CommonEigenstate:
+def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     """Common eigenstate of a commuting set after group completion.
 
-    Diagonalizes a random real-coefficient hermitian combination of the
-    completed family and keeps an eigenvector whose eigenvalue is
-    isolated; fresh coefficients are drawn on degeneracy.  The returned
-    residual is max over members of ||U psi - <U> psi||.
+    Starts from the basis vector |seed mod n^N> and applies, for every
+    generator g of the completed group (the members and the vectors the
+    completion adjoined), the projector onto the eigenspace of U_g that
+    keeps the largest component.  The projectors commute, so the result
+    is an eigenvector of every group element, unique up to phase when
+    the group is complete; a component never vanishes, so there is no
+    retry.  The returned residual is max over the group of
+    ||U psi - <U> psi||, from the same index-level action.
     """
     n, n_nodes = cset.n, cset.n_nodes
     dims = (n,) * n_nodes
-    group_vecs = complete_commuting_group(cset.members, n, n_nodes)
-    group_labels = [_vector_to_label(v, dims) for v in group_vecs]
-    mats = [cluster_operator(lab) for lab in group_labels if not all(e == (0, 0) for e in lab.entries)]
+    group, generators = _complete_group(cset.members, n, n_nodes)
+    group_vecs = sorted(group)
     dim = n ** n_nodes
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(max_tries):
-        h = np.zeros((dim, dim), dtype=complex)
-        for m in mats:
-            c, cp = rng.normal(), rng.normal()
-            h += c * (m + m.conj().T) / 2 + cp * (m - m.conj().T) / 2j
-        vals, vecs = np.linalg.eigh(h)
-        gaps = np.full(dim, np.inf)
-        if dim > 1:
-            d = np.diff(vals)
-            gaps[0] = d[0]
-            gaps[-1] = d[-1]
-            for i in range(1, dim - 1):
-                gaps[i] = min(d[i - 1], d[i])
-        k = int(np.argmax(gaps))
-        if gaps[k] < 1e-8:
-            continue
-        psi = vecs[:, k]
-        residual = 0.0
-        for m in mats:
-            mp = m @ psi
-            lam = np.vdot(psi, mp)
-            residual = max(residual, float(np.linalg.norm(mp - lam * psi)))
-        if residual < 1e-10:
-            best = (psi, residual)
-            break
-        if best is None or residual < best[1]:
-            best = (psi, residual)
-    psi, residual = best
+    psi = np.zeros(dim, dtype=complex)
+    psi[seed % dim] = 1.0
+    for g in generators:
+        psi = _eigen_component(g, psi, n, n_nodes)
+    images = _weyl_action(group_vecs, psi, n, n_nodes)
+    expectations = images @ psi.conj()
+    residual = float(np.max(np.linalg.norm(images - expectations[:, None] * psi, axis=1)))
+    group_labels = [_vector_to_label(v, dims) for v in group_vecs]
     pure = sum(1 for lab in group_labels if lab.is_pure_cluster)
     return CommonEigenstate(
         vector=psi,
         completion=group_labels,
         completion_size=len(group_labels),
-        target_size=n ** n_nodes,
+        target_size=dim,
         pure_cluster_count=pure,
         max_residual=residual,
     )

@@ -286,12 +286,36 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
     if not np.all(np.isfinite(times)):
         raise InputError("pulse times must be finite")
     index = np.arange(dim)
-    spin = n_nodes - 2 * sum((index >> node) & 1 for node in range(n_nodes))
-    lam = spin if m == 1 else (spin ** 2 - n_nodes) // 2
+    lam = _drive_eigenvalues(m, n_nodes, sum((index >> node) & 1 for node in range(n_nodes)))
     x = _per_node(HADAMARD, psi, n_nodes)
     phases = np.exp(-1j * np.multiply.outer(times, lam))
     phases = phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
     return np.stack([_per_node(HADAMARD, p * x, n_nodes) / dim for p in phases])
+
+
+def _drive_eigenvalues(m: int, n_nodes: int, weight):
+    """Eigenvalue of E_{m00,0} on the x-basis states of Hamming weight ``weight``."""
+    spin = n_nodes - 2 * weight
+    return spin if m == 1 else (spin ** 2 - n_nodes) // 2
+
+
+def collective_control_phase_distance(m: int, alpha_t: float, n_nodes: int) -> float:
+    """phase_distance(collective_control(m, alpha_t, n_nodes)) from the drive's spectrum.
+
+    The pulse has eigenvalue exp(-i alpha_t lambda_w) on the C(N, w)
+    x-basis states of Hamming weight w, so its trace is
+    sum_w C(N, w) exp(-i alpha_t lambda_w) and, U being normal, the
+    2-norm of U - e^(i phi) 1 is max_w |exp(-i alpha_t lambda_w) - e^(i phi)|.
+    O(N), with no 2^N array.
+    """
+    check_collective_drive(m, n_nodes)
+    if not math.isfinite(alpha_t):
+        raise InputError("pulse area must be finite")
+    weight = np.arange(n_nodes + 1)
+    eigenvalues = np.exp(-1j * alpha_t * _drive_eigenvalues(m, n_nodes, weight))
+    overlap = np.dot([math.comb(n_nodes, w) for w in weight], eigenvalues)
+    phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
+    return float(np.max(np.abs(eigenvalues - phase)))
 
 
 def collective_control(m: int, alpha_t: float, n_nodes: int) -> np.ndarray:

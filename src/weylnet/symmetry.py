@@ -84,7 +84,9 @@ class SpinClass:
 
 def spin_basis(n_nodes: int) -> list[SpinClass]:
     """Simultaneous (S^2, S_z) eigenbasis organized by symmetry class."""
-    if not 1 <= n_nodes <= 10:
+    if n_nodes < 1:
+        raise InputError(f"spin basis needs N >= 1 nodes, got {n_nodes}")
+    if n_nodes > 10:
         raise CapExceeded(f"spin basis supported for 1 <= N <= 10, got {n_nodes}")
     dim = 2 ** n_nodes
     sx, sy, sz = collective_spin(n_nodes)

@@ -4,8 +4,10 @@ Each coefficient expansion here builds one dense matrix per label
 (Kronecker products of single-node matrices) and takes traces, which is
 how the package computed these coefficients before every expansion went
 through the Weyl transform.  The collective control pulse is the dense
-drive exponentiated by diagonalization, and placements are deduplicated
-permutations.  They are slow and exist only as test oracles.
+drive exponentiated by diagonalization, placements are deduplicated
+permutations, the clique search builds its full coloring as lists on
+every node, and the common eigenstate diagonalizes a random combination
+of dense group matrices.  They are slow and exist only as test oracles.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from weylnet.collective import (
     placements,
     selective_operator,
 )
+from weylnet.commuting import complete_commuting_group
 from weylnet.protocols import hermitian_expm
 
 
@@ -129,3 +132,97 @@ def collective_control(m, alpha_t, n_nodes):
 def arrangements(chars):
     """Distinct orderings of ``chars``, sorted, by deduplicating all N! permutations."""
     return tuple(sorted({"".join(p) for p in itertools.permutations(chars)}))
+
+
+def clique_search(adj, initial, budget):
+    """Branch-and-bound maximum clique, coloring every candidate into lists on each node.
+
+    Same search order, bounds and budget accounting as
+    :func:`weylnet.commuting.max_clique`; returns (best clique,
+    expansions, exhausted).
+    """
+    state = {"best": list(initial), "expansions": 0}
+
+    def color_sort(cand):
+        order, colors = [], []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                avail &= ~adj[v]
+                avail &= ~(1 << v)
+                rest &= ~(1 << v)
+        return order, colors
+
+    def expand(clique, cand):
+        state["expansions"] += 1
+        if state["expansions"] > budget:
+            raise _OutOfBudget
+        order, colors = color_sort(cand)
+        for i in range(len(order) - 1, -1, -1):
+            if len(clique) + colors[i] <= len(state["best"]):
+                return
+            v = order[i]
+            clique.append(v)
+            nxt = cand & adj[v]
+            if nxt:
+                expand(clique, nxt)
+            elif len(clique) > len(state["best"]):
+                state["best"] = clique.copy()
+            clique.pop()
+            cand &= ~(1 << v)
+
+    try:
+        expand([], (1 << len(adj)) - 1)
+    except _OutOfBudget:
+        return state["best"], state["expansions"], True
+    return state["best"], state["expansions"], False
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def common_eigenstate(cset, seed=0, max_tries=25):
+    """Eigenvector of a random hermitian combination of the completed group's dense matrices.
+
+    Fresh coefficients are drawn while the chosen eigenvalue is
+    degenerate; returns (vector, max over the group of ||U psi - <U> psi||).
+    """
+    dims = (cset.n,) * cset.n_nodes
+    mats = [product_unitary(list(zip(v[0::2], v[1::2])), dims)
+            for v in complete_commuting_group(cset.members, cset.n, cset.n_nodes) if any(v)]
+    dim = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(max_tries):
+        h = np.zeros((dim, dim), dtype=complex)
+        for m in mats:
+            c, cp = rng.normal(), rng.normal()
+            h += c * (m + m.conj().T) / 2 + cp * (m - m.conj().T) / 2j
+        vals, vecs = np.linalg.eigh(h)
+        gaps = np.full(dim, np.inf)
+        if dim > 1:
+            d = np.diff(vals)
+            gaps[0] = d[0]
+            gaps[-1] = d[-1]
+            for i in range(1, dim - 1):
+                gaps[i] = min(d[i - 1], d[i])
+        k = int(np.argmax(gaps))
+        if gaps[k] < 1e-8:
+            continue
+        psi = vecs[:, k]
+        residual = 0.0
+        for m in mats:
+            mp = m @ psi
+            residual = max(residual, float(np.linalg.norm(mp - np.vdot(psi, mp) * psi)))
+        if residual < 1e-10:
+            return psi, residual
+        if best is None or residual < best[1]:
+            best = (psi, residual)
+    return best

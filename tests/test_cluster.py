@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylnet import cluster
 from weylnet.basis import WeylIndex, weyl_matrix
@@ -264,6 +266,18 @@ class TestPurityFactors:
         report = cluster.purity_factors(bell_state())
         assert abs(report.rows[(0,)].entropy - 1.0) < 1e-10  # one bit
         assert abs(report.rows[(0, 1)].entropy) < 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(lambda d: np.prod(d) <= 128),
+           st.integers(0, 2 ** 32 - 1))
+    def test_pure_entropy_matches_full_reduced_state(self, dims, seed):
+        state = random_state(tuple(dims), np.random.default_rng(seed), pure=True)
+        for size in range(len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), size):
+                vals = np.linalg.eigvalsh(cluster.reduced_state(state, keep))
+                vals = vals[vals > 1e-14]
+                want = float(-np.sum(vals * np.log2(vals)))
+                assert abs(cluster.reduced_entropy(state, keep) - want) < 1e-10
 
 
 class TestProductStateTest:

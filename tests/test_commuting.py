@@ -1,13 +1,17 @@
 """Commuting cluster-operator sets: criterion, constructions, search, eigenstates."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from weylnet import cluster, commuting
 from weylnet.cluster import NetworkState, cluster_operator, label_from_entries
-from weylnet.errors import CapExceeded
+from weylnet.errors import CapExceeded, InputError
 
 # expected table values: (n, N) -> (A, B, D)
 SIZE_TABLE = {
@@ -138,6 +142,11 @@ class TestSearch:
         with pytest.raises(CapExceeded):
             commuting.search_max_commuting(3, 4, vertex_cap=1000)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(InputError):
+            commuting.search_max_commuting(2, 2, budget=budget)
+
     def test_cat_seed_is_clique(self):
         for n, n_nodes in [(2, 3), (2, 4), (3, 3)]:
             labels = commuting.pure_cluster_labels(n, n_nodes)
@@ -199,3 +208,84 @@ class TestCompletionAndEigenstates:
             op = cluster_operator(label)
             lam = np.vdot(eig.vector, op @ eig.vector)
             assert abs(abs(lam) - 1.0) < 1e-10
+
+
+# derandomized so every run checks the same examples; no example database
+PROPERTY = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+
+# every table row whose commutation graph has at most 729 vertices
+SEARCH_ROWS = [(n, n_nodes) for n in (2, 3, 4) for n_nodes in range(1, 7)
+               if (n * n - 1) ** n_nodes <= 729]
+
+
+def dense_residual(members, psi):
+    """max over members of ||U psi - <U> psi|| with dense member matrices."""
+    worst = 0.0
+    for label in members:
+        up = cluster_operator(label) @ psi
+        worst = max(worst, float(np.linalg.norm(up - np.vdot(psi, up) * psi)))
+    return worst
+
+
+class TestProperties:
+    @pytest.mark.parametrize("n,n_nodes", SEARCH_ROWS)
+    @PROPERTY
+    @given(budget=st.integers(1, 5000))
+    def test_search_matches_oracle(self, n, n_nodes, budget):
+        got = commuting.search_max_commuting(n, n_nodes, budget=budget)
+        with mock.patch.object(commuting, "max_clique", oracles.clique_search):
+            want = commuting.search_max_commuting(n, n_nodes, budget=budget)
+        assert got.commuting_set.members == want.commuting_set.members
+        assert (got.expansions, got.exact) == (want.expansions, want.exact)
+
+    @pytest.mark.parametrize("n,n_nodes,method", [
+        (n, n_nodes, method) for n in (2, 3, 4) for n_nodes in range(1, 5)
+        for method in ("A", "B", "search")
+        if method != "search" or (n * n - 1) ** n_nodes <= commuting.DEFAULT_VERTEX_CAP])
+    @PROPERTY
+    @given(budget=st.integers(1, 2000), seed=st.integers(0, 2 ** 31 - 1))
+    def test_eigenstate_residual(self, n, n_nodes, method, budget, seed):
+        if method == "A":
+            cs = commuting.construct_method_a(n, n_nodes)
+        elif method == "B":
+            cs = commuting.construct_method_b(n, n_nodes)
+        else:
+            result = commuting.search_max_commuting(n, n_nodes, budget=budget)
+            cs = result.commuting_set
+        eig = commuting.common_eigenstate(cs, seed=seed)
+        assert abs(np.linalg.norm(eig.vector) - 1) < 1e-12
+        assert eig.max_residual <= 1e-12
+        assert dense_residual(cs.members, eig.vector) <= 1e-12
+        if method != "search" or result.exact:
+            # a maximum set is all the pure clusters of its completed group
+            assert eig.pure_cluster_count == cs.size
+        else:
+            assert eig.pure_cluster_count >= cs.size
+
+    # U^k = -1 for U_11 on a qubit and on a ququart, so these need the right k-th root
+    @pytest.mark.parametrize("n,entries", [(2, e) for e in SIX_SETS_N2] + [
+        (2, [((1, 1),)]), (4, [((1, 1),)]), (4, [((1, 1), (1, 0)), ((2, 0), (0, 2))])])
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 31 - 1))
+    def test_eigenstate_residual_given_sets(self, n, entries, seed):
+        cs = make_set(entries, n)
+        eig = commuting.common_eigenstate(cs, seed=seed)
+        assert eig.complete and eig.max_residual <= 1e-12
+        assert dense_residual(eig.completion, eig.vector) <= 1e-12
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]), st.sampled_from(["A", "B"]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_cluster_sums_match_dense_oracle(self, row, method, seed):
+        # the joint eigenvectors of a complete group are Weyl images of each
+        # other, so they share every cluster sum
+        n, n_nodes = row
+        build = commuting.construct_method_a if method == "A" else commuting.construct_method_b
+        cs = build(n, n_nodes)
+        eig = commuting.common_eigenstate(cs, seed=seed)
+        psi, residual = oracles.common_eigenstate(cs, seed=seed)
+        assert eig.complete and residual < 1e-10
+        dims = (n,) * n_nodes
+        got = cluster.cluster_sums(NetworkState.from_pure(eig.vector, dims)).values
+        want = cluster.cluster_sums(NetworkState.from_pure(psi, dims)).values
+        assert all(abs(got[s] - want[s]) < 1e-9 for s in want)

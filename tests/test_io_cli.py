@@ -303,6 +303,24 @@ class TestCliCommands:
         assert result.exit_code == 2, result.output
         assert "--n" in result.output
 
+    @pytest.mark.parametrize("option,value", [("--budget", "0"), ("--budget", "-5"),
+                                              ("--vertex-cap", "-1"), ("--n-max", "0")])
+    def test_table_csum_nonpositive_option_exits_2(self, runner, option, value):
+        result = runner.invoke(main, ["table-csum", "--n", "2", option, value])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+
+    @pytest.mark.parametrize("params", ["1,abc", "1,nan", "inf,1"])
+    def test_invariants_bad_params_exit_2(self, runner, params):
+        result = runner.invoke(main, ["invariants", "--model", "foerster", "--params", params])
+        assert result.exit_code == 2, result.output
+        assert "--params" in result.output
+
+    @pytest.mark.parametrize("nodes", ["0", "-2"])
+    def test_symmetry_nonpositive_nodes_exits_2(self, runner, nodes):
+        result = runner.invoke(main, ["symmetry", "--nodes", nodes])
+        assert result.exit_code == 2, result.output
+
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["1", "2"]), st.floats(-4.0, 4.0, allow_nan=False),
            st.integers(0, 63), st.integers(1, 8))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from weylnet.protocols import (
     Segment,
     cat_creation_fidelity,
     collective_control,
+    collective_control_phase_distance,
     collective_control_states,
     cyclic_to_pi_pulses,
     echo_schedule,
@@ -266,6 +267,22 @@ class TestCollectiveControlProperties:
     def test_unitary_matches_dense_oracle(self, m, n_nodes, t):
         got = collective_control(m, t, n_nodes)
         assert np.max(np.abs(got - oracles.collective_control(m, t, n_nodes))) < 1e-12
+
+    @PROPERTY
+    @given(drive_orders, st.sampled_from([1, 3, 5, 7]), pulse_times)
+    def test_phase_distance_matches_dense_oracle(self, m, n_nodes, t):
+        assume(n_nodes >= m)
+        u = oracles.collective_control(m, t, n_nodes)
+        # the optimal phase is arg tr(U), which rounding decides where the trace nearly vanishes
+        assume(abs(np.trace(u)) > 1e-3 * 2 ** n_nodes)
+        got = collective_control_phase_distance(m, t, n_nodes)
+        assert abs(got - phase_distance(u)) < 1e-10
+
+    @pytest.mark.parametrize("n_nodes", [3, 5, 7])
+    def test_pair_drive_odd_identity_from_spectrum(self, n_nodes):
+        got = collective_control_phase_distance(2, math.pi / 2, n_nodes)
+        want = phase_distance(oracles.collective_control(2, math.pi / 2, n_nodes))
+        assert got < 1e-12 and abs(got - want) < 1e-12
 
 
 class TestNetworkEcho:

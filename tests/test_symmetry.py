@@ -85,6 +85,11 @@ class TestSpinBasis:
         with pytest.raises(CapExceeded):
             spin_basis(11)
 
+    @pytest.mark.parametrize("n_nodes", [0, -2])
+    def test_nonpositive_nodes_rejected(self, n_nodes):
+        with pytest.raises(InputError):
+            spin_basis(n_nodes)
+
 
 class TestGoldenTable:
     def test_sixteen_unit_vectors(self):
