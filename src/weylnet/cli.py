@@ -60,13 +60,24 @@ def _read_config(path):
     return opts
 
 
-def _option(explicit, config: dict, key: str, cast, default):
-    """Flags win over the config file, which wins over the default."""
+#: the range of the table-csum counts, for flags and config values alike
+POSITIVE = click.IntRange(min=1)
+
+
+def _option(explicit, config: dict, key: str, kind: click.ParamType, default):
+    """Flags win over the config file, which wins over the default.
+
+    Config values go through the flag's own click type, so they meet the
+    same ranges; a value it refuses raises InputError.
+    """
     if explicit is not None:
         return explicit
-    if key in config:
-        return cast(config[key])
-    return default
+    if key not in config:
+        return default
+    try:
+        return kind.convert(config[key], None, None)
+    except click.BadParameter as exc:
+        raise InputError(f"config value {key}={config[key]!r}: {exc.message}") from exc
 
 
 def _emit(text: str, output):
@@ -84,11 +95,13 @@ def _emit(text: str, output):
 @click.pass_context
 def main(ctx, config_path, seed):
     """Operator-basis toolkit for finite-dimensional quantum networks."""
-    config = _read_config(config_path)
-    ctx.obj = {
-        "config": config,
-        "seed": _option(seed, config, "seed", int, 0),
-    }
+    def go():
+        config = _read_config(config_path)
+        ctx.obj = {
+            "config": config,
+            "seed": _option(seed, config, "seed", click.INT, 0),
+        }
+    _run(go)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +148,11 @@ def cmd_basis(ctx, n):
 
 @main.command("table-csum")
 @click.option("--n", "n_list", default="2,3,4", help="comma-separated node dimensions")
-@click.option("--n-max", "n_max", type=click.IntRange(min=1), default=None,
+@click.option("--n-max", "n_max", type=POSITIVE, default=None,
               help="largest network size N")
-@click.option("--budget", type=click.IntRange(min=1), default=None,
+@click.option("--budget", type=POSITIVE, default=None,
               help="clique-search node budget")
-@click.option("--vertex-cap", type=click.IntRange(min=1), default=None,
+@click.option("--vertex-cap", type=POSITIVE, default=None,
               help="graph-size cap for exact search")
 @click.option("--output", type=click.Path(), default=None)
 @click.pass_context
@@ -147,9 +160,9 @@ def cmd_table_csum(ctx, n_list, n_max, budget, vertex_cap, output):
     """Largest-commuting-set table: methods A, B, search C, bound D, cat."""
     def go():
         config = ctx.obj["config"]
-        nmax = _option(n_max, config, "n_max", int, 6)
-        bud = _option(budget, config, "budget", int, 150_000)
-        vcap = _option(vertex_cap, config, "vertex_cap", int, 1000)
+        nmax = _option(n_max, config, "n_max", POSITIVE, 6)
+        bud = _option(budget, config, "budget", POSITIVE, 150_000)
+        vcap = _option(vertex_cap, config, "vertex_cap", POSITIVE, 1000)
         try:
             dims = [int(x) for x in n_list.split(",")]
         except ValueError as exc:
@@ -429,7 +442,7 @@ def cmd_symmetry(ctx, n_nodes, golden_json, output):
             return
         classes = symmetry.spin_basis(n_nodes)
         rows = [(c.j, c.multiplicity, c.degeneracy, c.degeneracy ** 2) for c in classes]
-        total_dim, param, xi0 = symmetry.parameter_count_identity(n_nodes)
+        total_dim, param, xi0 = symmetry.parameter_count_identity(n_nodes, classes)
         rows.append(("total", total_dim, "", param))
         _emit(csv_lines("j,multiplicity,dimension,parameters", rows), output)
         if total_dim != 2 ** n_nodes or param != xi0:

@@ -10,10 +10,11 @@ operators (no identity factor on any node) are the vertices of a
 commutation graph; completely commuting sets are its cliques.  Besides
 the two closed-form constructions (per-node single-particle sets and
 mirrored index pairs) this module carries an exact branch-and-bound
-maximum-clique search with greedy-coloring bounds, and computes common
-eigenstates after completing a set to a full commuting group of n^N
-index vectors, by projecting a basis vector onto an eigenspace of each
-generator.
+maximum-clique search with greedy-coloring bounds, branching on one
+root per orbit of the graph's local SL(2, Z_n) and node-permutation
+symmetries, and computes common eigenstates after completing a set to
+a full commuting group of n^N index vectors, by projecting a basis
+vector onto an eigenspace of each generator.
 """
 
 from __future__ import annotations
@@ -145,17 +146,72 @@ def pure_cluster_labels(n: int, n_nodes: int) -> list[ProductLabel]:
     ]
 
 
+def _entry_arrays(labels: list[ProductLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label, per-node index arrays (a_i) and (b_i), one row per label."""
+    av = np.array([[e[0] for e in lab.entries] for lab in labels], dtype=np.int64)
+    bv = np.array([[e[1] for e in lab.entries] for lab in labels], dtype=np.int64)
+    return av, bv
+
+
+def commute_matrix(labels: list[ProductLabel]) -> np.ndarray:
+    """Boolean commutation matrix of uniform-dimension labels (no self loops)."""
+    n = labels[0].dims[0]
+    av, bv = _entry_arrays(labels)
+    commute = (av @ bv.T - bv @ av.T) % n == 0
+    np.fill_diagonal(commute, False)
+    return commute
+
+
+def _bitmasks(commute: np.ndarray) -> list[int]:
+    rows = np.packbits(commute, axis=1, bitorder="little")  # bit j of row i is column j
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def commutation_graph(labels: list[ProductLabel]) -> list[int]:
     """Adjacency as per-vertex bitmasks (no self loops)."""
     if not labels:
         return []
+    return _bitmasks(commute_matrix(labels))
+
+
+def node_orbits(n: int) -> dict[tuple[int, int], int]:
+    """Orbit id of every nonzero (a, b) in Z_n^2 under SL(2, Z_n).
+
+    Closes each pair under the generators S = [[0,-1],[1,0]] and
+    T = [[1,1],[0,1]]; ids count orbits in the order of their first
+    pair.  A map of determinant 1 keeps a d - b c, so it keeps which
+    labels commute.
+    """
+    orbit: dict[tuple[int, int], int] = {}
+    count = 0
+    for start in _pure_entry_choices(n):
+        if start in orbit:
+            continue
+        orbit[start] = count
+        stack = [start]
+        while stack:
+            a, b = stack.pop()
+            for image in ((-b % n, a), ((a + b) % n, b)):
+                if image not in orbit:
+                    orbit[image] = count
+                    stack.append(image)
+        count += 1
+    return orbit
+
+
+def label_orbits(labels: list[ProductLabel]) -> np.ndarray:
+    """Orbit index of every pure label under local SL(2, Z_n) maps and node permutations.
+
+    A label's orbit is fixed by the sorted tuple of its per-node orbit
+    ids; orbits are numbered in the order of those tuples.
+    """
     n = labels[0].dims[0]
-    av = np.array([[e[0] for e in lab.entries] for lab in labels], dtype=np.int64)
-    bv = np.array([[e[1] for e in lab.entries] for lab in labels], dtype=np.int64)
-    commute = (av @ bv.T - bv @ av.T) % n == 0
-    np.fill_diagonal(commute, False)
-    rows = np.packbits(commute, axis=1, bitorder="little")  # bit j of row i is column j
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    table = np.full((n, n), -1, dtype=np.int64)
+    for (a, b), oid in node_orbits(n).items():
+        table[a, b] = oid
+    av, bv = _entry_arrays(labels)
+    keys = np.sort(table[av, bv], axis=1)
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
 class _OutOfBudget(Exception):
@@ -263,12 +319,20 @@ def search_max_commuting(
     """Maximum completely commuting pure-N-cluster set via clique search.
 
     Seeds the incumbent with the best of the two constructions and the
-    cat-state family, so the result is never below either; an exhausted
-    node budget returns the incumbent tagged heuristic instead of
-    aborting.
+    cat-state family, so the result is never below either.  Local
+    SL(2, Z_n) maps and node permutations are automorphisms of the
+    commutation graph, and the group they generate is transitive on
+    each label orbit, so a maximum clique that meets an orbit has an
+    image through any chosen root of it.  The search therefore takes the orbits in turn and
+    solves, for one root each, the clique problem on the root's
+    neighbours outside the orbits already searched.  ``budget`` counts
+    expansions summed over these subsearches; running out returns the
+    best clique so far tagged heuristic instead of aborting.
     """
     if budget < 1:
         raise InputError(f"search budget must be >= 1, got {budget}")
+    if n < 2 or n_nodes < 1:
+        raise InputError(f"search needs n >= 2 levels and N >= 1 nodes, got n={n}, N={n_nodes}")
     n_vertices = (n * n - 1) ** n_nodes
     if n_vertices > vertex_cap:
         raise CapExceeded(
@@ -276,7 +340,8 @@ def search_max_commuting(
             "use the constructive methods or raise the cap")
     labels = pure_cluster_labels(n, n_nodes)
     index_of = {lab: i for i, lab in enumerate(labels)}
-    adj = commutation_graph(labels)
+    commute = commute_matrix(labels)
+    orbit = label_orbits(labels)
 
     seeds = [
         [index_of[lab] for lab in construct_method_a(n, n_nodes).members],
@@ -284,8 +349,24 @@ def search_max_commuting(
         cat_seed_clique(n, n_nodes),
     ]
     incumbent = max(seeds, key=len)
-    best, expansions, exhausted = max_clique(adj, incumbent, budget)
-    members = tuple(sorted(labels[v] for v in best))
+    expansions, exhausted = 0, False
+    searched = np.zeros(n_vertices, dtype=bool)
+    for k in range(int(orbit.max()) + 1):
+        in_orbit = np.flatnonzero(orbit == k)
+        root = next((v for v in incumbent if orbit[v] == k), int(in_orbit[0]))
+        cand = np.flatnonzero(commute[root] & ~searched)
+        searched[in_orbit] = True
+        if len(cand) + 1 <= len(incumbent):
+            continue  # even the whole neighbourhood cannot beat the incumbent
+        initial = np.flatnonzero(np.isin(cand, incumbent)).tolist()
+        best, used, exhausted = max_clique(
+            _bitmasks(commute[np.ix_(cand, cand)]), initial, budget - expansions)
+        expansions += used
+        if len(best) + 1 > len(incumbent):
+            incumbent = [root] + [int(cand[i]) for i in best]
+        if exhausted:
+            break
+    members = tuple(sorted(labels[v] for v in incumbent))
     method = "C-heuristic" if exhausted else "C-exact"
     return SearchResult(
         commuting_set=CommutingSet(n=n, n_nodes=n_nodes, members=members, method=method),

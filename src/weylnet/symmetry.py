@@ -152,9 +152,15 @@ def _deterministic_span(space: np.ndarray) -> np.ndarray:
     return np.stack(chosen, axis=1)
 
 
-def parameter_count_identity(n_nodes: int) -> tuple[int, int, int]:
-    """(sum mult*(2j+1), sum (2j+1)^2, (N+1)(N+2)(N+3)/6)."""
-    classes = spin_basis(n_nodes)
+def parameter_count_identity(
+    n_nodes: int, classes: list[SpinClass] | None = None
+) -> tuple[int, int, int]:
+    """(sum mult*(2j+1), sum (2j+1)^2, (N+1)(N+2)(N+3)/6).
+
+    ``classes`` is ``spin_basis(n_nodes)``, built here when not given.
+    """
+    if classes is None:
+        classes = spin_basis(n_nodes)
     total_dim = sum(c.multiplicity * c.degeneracy for c in classes)
     param = sum(c.degeneracy ** 2 for c in classes)
     xi0 = (n_nodes + 1) * (n_nodes + 2) * (n_nodes + 3) // 6

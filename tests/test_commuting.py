@@ -1,6 +1,7 @@
 """Commuting cluster-operator sets: criterion, constructions, search, eigenstates."""
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ SIZE_TABLE = {
 }
 
 # exact maximum-commuting-set sizes where exhaustive search is feasible
-EXACT_C = {(2, 1): 1, (2, 2): 3, (2, 3): 4, (2, 4): 9,
+EXACT_C = {(2, 1): 1, (2, 2): 3, (2, 3): 4, (2, 4): 9, (2, 5): 16, (2, 6): 33,
            (3, 1): 2, (3, 2): 8, (3, 3): 20, (4, 1): 3, (4, 2): 15}
 
 # the six maximal two-qubit families, indices as tabulated
@@ -146,6 +147,11 @@ class TestSearch:
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(InputError):
             commuting.search_max_commuting(2, 2, budget=budget)
+
+    @pytest.mark.parametrize("n,n_nodes", [(1, 2), (0, 1), (2, 0)])
+    def test_degenerate_network_rejected(self, n, n_nodes):
+        with pytest.raises(InputError):
+            commuting.search_max_commuting(n, n_nodes)
 
     def test_cat_seed_is_clique(self):
         for n, n_nodes in [(2, 3), (2, 4), (3, 3)]:
@@ -289,3 +295,80 @@ class TestProperties:
         got = cluster.cluster_sums(NetworkState.from_pure(eig.vector, dims)).values
         want = cluster.cluster_sums(NetworkState.from_pure(psi, dims)).values
         assert all(abs(got[s] - want[s]) < 1e-9 for s in want)
+
+
+# the full-graph search on (2, 6) runs past 150 000 expansions without finishing
+FULL_SEARCH_ROWS = [row for row in SEARCH_ROWS if row != (2, 6)]
+
+
+def node_map(label, node, image):
+    """``label`` with the pair on ``node`` replaced by ``image(pair)``."""
+    entries = list(label.entries)
+    entries[node] = image(*entries[node])
+    return label_from_entries(entries, label.dims)
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("n,n_nodes", SEARCH_ROWS)
+    def test_local_maps_and_transpositions_are_automorphisms(self, n, n_nodes):
+        labels = commuting.pure_cluster_labels(n, n_nodes)
+        index_of = {lab: i for i, lab in enumerate(labels)}
+        commute = commuting.commute_matrix(labels)
+
+        def s_map(a, b):  # S = [[0,-1],[1,0]]
+            return -b % n, a
+
+        def t_map(a, b):  # T = [[1,1],[0,1]]
+            return (a + b) % n, b
+
+        maps = [[index_of[node_map(lab, node, g)] for lab in labels]
+                for node in range(n_nodes) for g in (s_map, t_map)]
+        for i, j in itertools.combinations(range(n_nodes), 2):
+            order = list(range(n_nodes))
+            order[i], order[j] = j, i
+            maps.append([index_of[label_from_entries([lab.entries[k] for k in order], lab.dims)]
+                         for lab in labels])
+        for perm in maps:
+            assert sorted(perm) == list(range(len(labels)))
+            assert np.array_equal(commute[np.ix_(perm, perm)], commute)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_node_orbits_are_gcd_classes(self, n):
+        orbit = commuting.node_orbits(n)
+        pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
+        assert sorted(orbit) == pairs
+        by_orbit = {frozenset(p for p in pairs if orbit[p] == k) for k in set(orbit.values())}
+        by_gcd = {frozenset(p for p in pairs if math.gcd(*p, n) == g) for g in range(1, n)}
+        assert by_orbit == by_gcd - {frozenset()}
+
+    def test_label_orbits_group_by_sorted_node_classes(self):
+        labels = commuting.pure_cluster_labels(4, 2)
+        orbit = commuting.label_orbits(labels)
+        key = [tuple(sorted(math.gcd(a, b, 4) for a, b in lab.entries)) for lab in labels]
+        assert len(set(orbit)) == 3
+        for i, j in itertools.combinations(range(len(labels)), 2):
+            assert (orbit[i] == orbit[j]) == (key[i] == key[j])
+
+    @pytest.mark.parametrize("n,n_nodes", FULL_SEARCH_ROWS)
+    def test_reduced_search_matches_full_graph(self, n, n_nodes):
+        labels = commuting.pure_cluster_labels(n, n_nodes)
+        adj = commuting.commutation_graph(labels)
+        full, _, full_exhausted = commuting.max_clique(adj, [], commuting.DEFAULT_NODE_BUDGET)
+        result = commuting.search_max_commuting(n, n_nodes)
+        assert (result.commuting_set.size, result.exact) == (len(full), not full_exhausted)
+        assert result.exact
+        index_of = {lab: i for i, lab in enumerate(labels)}
+        members = [index_of[m] for m in result.commuting_set.members]
+        for i, j in itertools.combinations(members, 2):
+            assert adj[i] >> j & 1
+
+    def test_budget_is_shared_by_the_subsearches(self):
+        # n = 4 has three label orbits at N = 2, so the search runs several subsearches
+        whole = commuting.search_max_commuting(4, 2)
+        assert whole.exact and whole.expansions > 1
+        for budget in range(1, whole.expansions):
+            cut = commuting.search_max_commuting(4, 2, budget=budget)
+            assert not cut.exact and cut.expansions == budget + 1
+            assert cut.commuting_set.verify_pairwise()
+            assert cut.commuting_set.size >= commuting.method_b_size(4, 2)
+        assert commuting.search_max_commuting(4, 2, budget=whole.expansions).exact

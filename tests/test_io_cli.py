@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import io
+from weylnet import io, symmetry
 from weylnet.cat import cat_state
 from weylnet.cli import main
 from weylnet.cluster import NetworkState
@@ -129,6 +130,11 @@ class TestCliCommands:
         assert lines[2] == "2,2,1,3,3,exact,3,3"
         assert lines[3] == "2,3,1,3,4,exact,7,4"
 
+    def test_table_csum_row_2_6_is_exact(self, runner):
+        result = runner.invoke(main, ["table-csum", "--n", "2", "--budget", "50000"])
+        assert result.exit_code == 0, result.output
+        assert "2,6,1,27,33,exact,63,33" in result.output.split("\n")
+
     def test_echo_random_diagonal(self, runner):
         result = runner.invoke(main, ["echo", "--dim", "4", "--dt", "2.2"])
         assert result.exit_code == 0
@@ -163,6 +169,12 @@ class TestCliCommands:
         result = runner.invoke(main, ["symmetry", "--nodes", "4"])
         assert result.exit_code == 0
         assert result.output.strip().split("\n")[-1] == "total,16,,35"
+
+    def test_symmetry_builds_the_spin_basis_once(self, runner):
+        with mock.patch.object(symmetry, "spin_basis", wraps=symmetry.spin_basis) as built:
+            result = runner.invoke(main, ["symmetry", "--nodes", "4"])
+        assert result.exit_code == 0
+        assert built.call_count == 1
 
     def test_symmetry_golden_dump(self, runner):
         result = runner.invoke(main, ["symmetry", "--nodes", "4", "--golden-json"])
@@ -351,6 +363,32 @@ class TestCliCommands:
         result = runner.invoke(main, ["--config", str(cfg), "table-csum", "--n", "2"])
         assert result.exit_code == 0
         assert len(result.output.strip().split("\n")) == 3  # header + N=1,2
+
+    @pytest.mark.parametrize("line", ["vertex_cap=0", "n_max=0", "budget=0", "budget=abc",
+                                      "seed=abc", "seed=1.5", "n_max=-2", "no equals sign"])
+    def test_bad_config_value_exits_2(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, ["--config", str(cfg), "table-csum", "--n", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+
+    # config values: non-positive and positive ints, floats and short text
+    CONFIG_VALUES = st.one_of(st.integers(-3, 3).map(str), st.floats().map(repr),
+                              st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(st.sampled_from(["n_max", "budget", "vertex_cap", "seed"]),
+                           CONFIG_VALUES, max_size=4))
+    def test_table_csum_config_fuzz(self, values):
+        with tempfile.TemporaryDirectory() as work:
+            cfg = os.path.join(work, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{key}={value}\n" for key, value in values.items())
+            result = CliRunner().invoke(main, ["--config", cfg, "table-csum", "--n", "2", "--n-max", "2"])
+        assert result.exit_code in (0, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_flags_beat_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
