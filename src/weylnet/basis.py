@@ -85,11 +85,100 @@ def _same_dim(x: WeylIndex, y: WeylIndex) -> int:
 
 def weyl_matrix(idx: WeylIndex) -> np.ndarray:
     """Dense matrix of U_ab: entry ((k+a) mod n, k) = w^(b*k)."""
-    n = idx.n
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        m[(k + idx.a) % n, k] = root_of_unity(n, idx.b * k)
-    return m
+    return product_operator(weyl_factors([idx.a], [idx.b], (idx.n,)), [1.0])
+
+
+# ---------------------------------------------------------------------------
+# monomial product operators
+# ---------------------------------------------------------------------------
+#
+# A single-node factor with at most one nonzero entry per row and column
+# (a shift/phase unitary, a Pauli matrix, sigma_+-) is a digit map and a
+# value table: column j goes to row map[j] with value values[j].  Products
+# of such factors over the nodes are again monomial.
+
+def monomial_factor(mat) -> tuple[np.ndarray, np.ndarray]:
+    """(digit map, values) of a square matrix with at most one nonzero per row and column.
+
+    Column j maps to the row of its nonzero entry; columns without one take
+    the unused rows in order with value 0, so the digit map is a permutation.
+    """
+    m = np.asarray(mat, dtype=complex)
+    nz = m != 0
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or max(nz.sum(axis=0).max(), nz.sum(axis=1).max()) > 1:
+        raise InputError("factor must be square with at most one nonzero per row and column")
+    rows = np.argmax(nz, axis=0)
+    rows[~nz.any(axis=0)] = np.flatnonzero(~nz.any(axis=1))
+    return rows, m[rows, np.arange(len(rows))]
+
+
+def weyl_factors(a, b, dims) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-node (digit map, values) of K product labels with indices a[k, i], b[k, i].
+
+    U_ab maps digit j to j+a mod n with value w^(bj).  Each node's pair
+    has shape (K, n_i).
+    """
+    dims = _node_dims(dims)
+    a = np.asarray(a, dtype=np.int64).reshape(-1, len(dims))
+    b = np.asarray(b, dtype=np.int64).reshape(-1, len(dims))
+    if a.shape != b.shape or np.any((a < 0) | (b < 0) | (a >= dims) | (b >= dims)):
+        raise InputError(f"indices out of range for dims {dims}")
+    out = []
+    for i, n in enumerate(dims):
+        j = np.arange(n)
+        roots = np.array([root_of_unity(n, e) for e in range(n)])
+        out.append(((j + a[:, i, None]) % n, roots[(b[:, i, None] * j) % n]))
+    return out
+
+
+def _product_table(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Target row and value of every (product k, column c): rows[k, c], values[k, c].
+
+    Node 1 is the most significant digit, as in a Kronecker product, and
+    values multiply node by node from node 1, in the same order.
+    """
+    k = len(factors[0][0])
+    rows = np.zeros((k, 1), dtype=np.int64)
+    values = np.ones((k, 1), dtype=complex)
+    for maps, vals in factors:
+        n = maps.shape[1]
+        rows = (rows[:, :, None] * n + maps[:, None, :]).reshape(k, -1)
+        values = (values[:, :, None] * vals[:, None, :]).reshape(k, -1)
+    return rows, values
+
+
+def product_operator(factors, weights) -> np.ndarray:
+    """Dense D x D matrix sum_k weights[k] P_k of K monomial products.
+
+    ``factors`` holds, per node, a (digit map, values) pair of shape
+    (K, n_i) (see :func:`monomial_factor`, :func:`weyl_factors`); product
+    k is the Kronecker product of the nodes' k-th factors.  One index
+    scatter in product order: O(K D), where K dense Kronecker products
+    cost O(K D^2).
+    """
+    rows, values = _product_table(factors)
+    values = np.asarray(weights)[:, None] * values
+    d = rows.shape[1]
+    out = np.zeros((d, d), dtype=complex)
+    np.add.at(out, (rows, np.broadcast_to(np.arange(d), rows.shape)), values)
+    return out
+
+
+def apply_products(factors, psi) -> np.ndarray:
+    """P_k psi for each of the K products in ``factors``, stacked along a new first axis.
+
+    ``psi`` is a state of length D or a stack of them along further axes.
+    Every digit map must be a permutation (as those of
+    :func:`monomial_factor` and :func:`weyl_factors` are), so each image is
+    one phase multiply and one index scatter, O(D) per product and column.
+    """
+    rows, values = _product_table(factors)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[0] != rows.shape[1]:
+        raise DimensionMismatch(f"state of length {psi.shape[0]}, operators of dimension {len(rows[0])}")
+    out = np.zeros(rows.shape + psi.shape[1:], dtype=complex)
+    out[np.arange(len(rows))[:, None], rows] = values.reshape(values.shape + (1,) * (psi.ndim - 1)) * psi
+    return out
 
 
 def weyl_product_exp(x: WeylIndex, y: WeylIndex) -> tuple[int, WeylIndex]:

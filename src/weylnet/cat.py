@@ -13,18 +13,13 @@ below, and every proper-cluster entropy equals log2(n) bits.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import WeylIndex, weyl_matrix
-from .cluster import (
-    DEFAULT_DIM_CAP,
-    NetworkState,
-    cluster_sums,
-    kron_all,
-    purity_factors,
-)
+from .basis import apply_products, weyl_factors
+from .cluster import DEFAULT_DIM_CAP, NetworkState, cluster_sums, purity_factors
 from .errors import CapExceeded, InputError
 
 
@@ -66,10 +61,10 @@ def cat_from_base(n: int, label) -> np.ndarray:
     whole basis is locally generated from one member.
     """
     label = tuple(int(c) for c in label)
-    ops = [weyl_matrix(WeylIndex(0, label[0], n))]
-    ops += [weyl_matrix(WeylIndex(c, 0, n)) for c in label[1:]]
+    shifts = (0,) + label[1:]
+    phases = label[:1] + (0,) * (len(label) - 1)
     base = cat_state(n, (0,) * len(label))
-    return kron_all(ops) @ base
+    return apply_products(weyl_factors(shifts, phases, (n,) * len(label)), base)[0]
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,13 @@ class CatProfile:
             raise InputError(f"cluster size {m} out of range")
         if m == N:
             return 1.0
-        return float((n ** (m - 1) - 1) / (n ** m - 1))
+        return purity_profile_value(n, m)
 
     @property
     def y_total(self) -> float:
         """Subset-weighted total; equals n^N by the sum rule (pure state)."""
-        from math import comb
-
         N = self.n_nodes
-        return 1.0 + sum(comb(N, m) * self.y(m) for m in range(1, N + 1))
+        return 1.0 + sum(math.comb(N, m) * self.y(m) for m in range(1, N + 1))
 
     @property
     def top_ratio(self) -> float:
@@ -121,6 +114,8 @@ class CatProfile:
 def cat_profile(n: int, n_nodes: int) -> CatProfile:
     if n < 2 or n_nodes < 2:
         raise InputError("profile requires n >= 2 and N >= 2")
+    if n_nodes * math.log2(n) >= 1024:  # Y_N is close to n^N, which must stay below 2^1024
+        raise CapExceeded(f"n^N = {n}^{n_nodes} leaves the float range of the profile")
     return CatProfile(n=n, n_nodes=n_nodes)
 
 

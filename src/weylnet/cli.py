@@ -241,7 +241,7 @@ def cmd_fig_purity(ctx, n_range, m_range, output):
 @main.command("echo")
 @click.option("--dim", "n", type=int, default=None, help="dimension for a random Hamiltonian")
 @click.option("--dt", type=float, default=1.0)
-@click.option("--cycles", type=int, default=1)
+@click.option("--cycles", type=POSITIVE, default=1)
 @click.option("--hamiltonian", "h_path", type=click.Path(exists=True), default=None,
               help="operator JSON; overrides --dim")
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True), default=None,

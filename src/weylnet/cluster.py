@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, weyl_matrix, weyl_transform
+from .basis import WeylIndex, product_operator, weyl_factors, weyl_transform
 from .coherence import validate_state
 from .errors import CapExceeded, DimensionMismatch, InputError, VerificationFailure
 
@@ -77,7 +77,8 @@ def kron_all(mats) -> np.ndarray:
 
 def cluster_operator(label: ProductLabel) -> np.ndarray:
     """Kronecker product of the per-node basis unitaries, node order 1..N."""
-    return kron_all(weyl_matrix(WeylIndex(a, b, n)) for (a, b), n in zip(label.entries, label.dims))
+    a, b = zip(*label.entries)
+    return product_operator(weyl_factors(a, b, label.dims), [1.0])
 
 
 @dataclass

@@ -15,19 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import inverse_weyl_transform, weyl_transform
+from .basis import WeylIndex, from_single_index, inverse_weyl_transform, weyl_transform
 from .errors import InputError
 
 #: tolerance for state validation (hermiticity, trace, positivity)
 STATE_ATOL = 1e-10
-
-
-def single_index(a: int, b: int, n: int) -> int:
-    return n * a + b
-
-
-def index_pair(i: int, n: int) -> tuple[int, int]:
-    return i // n, i % n
 
 
 @dataclass(frozen=True)
@@ -42,7 +34,8 @@ class CoherenceVector:
             raise InputError(f"coherence vector must have length {self.n**2 - 1}")
 
     def entry(self, a: int, b: int) -> complex:
-        i = single_index(a, b, self.n)
+        """u_ab; indices outside 0 <= a, b < n raise InputError."""
+        i = WeylIndex(a, b, self.n).single_index
         if i == 0:
             return 1.0 + 0j
         return complex(self.u[i - 1])
@@ -58,18 +51,17 @@ class CoherenceVector:
         w = np.exp(2j * np.pi / n)
         worst = 0.0
         for i in range(1, n * n):
-            a, b = index_pair(i, n)
-            j = single_index((-a) % n, (-b) % n, n)
-            other = 1.0 if j == 0 else self.u[j - 1]
-            worst = max(worst, abs(self.u[i - 1] - np.conj(other) * w ** ((a * b) % n)))
+            idx = from_single_index(i, n)
+            other = self.entry((-idx.a) % n, (-idx.b) % n)
+            worst = max(worst, abs(self.u[i - 1] - np.conj(other) * w ** ((idx.a * idx.b) % n)))
         return worst
 
     def csv_rows(self) -> list[tuple[int, int, float, float]]:
         """(a, b, Re u, Im u) rows for every i != 0, in index order."""
         rows = []
         for i in range(1, self.n * self.n):
-            a, b = index_pair(i, self.n)
-            rows.append((a, b, float(self.u[i - 1].real), float(self.u[i - 1].imag)))
+            idx = from_single_index(i, self.n)
+            rows.append((idx.a, idx.b, float(self.u[i - 1].real), float(self.u[i - 1].imag)))
         return rows
 
 

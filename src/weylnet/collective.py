@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import as_operator, inverse_weyl_transform, weyl_transform
-from .cluster import NetworkState, kron_all
+from .basis import as_operator, inverse_weyl_transform, monomial_factor, product_operator, weyl_transform
+from .cluster import NetworkState
 from .coherence import validate_state
 from .errors import InputError
 
@@ -51,6 +51,9 @@ ID2 = np.eye(2, dtype=complex)
 
 _CHAR_MATS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z,
               "P": SIGMA_PLUS, "M": SIGMA_MINUS}
+#: per letter (in _CHAR_MATS order), the digit map and values of its single-node matrix
+_LETTER_INDEX = {ch: i for i, ch in enumerate(_CHAR_MATS)}
+_LETTER_MAPS, _LETTER_VALUES = (np.array(t) for t in zip(*map(monomial_factor, _CHAR_MATS.values())))
 
 
 @dataclass(frozen=True, order=True)
@@ -107,21 +110,33 @@ def placements(alpha: int, beta: int, gamma: int, n_nodes: int) -> tuple[str, ..
     return tuple(_arrangements("IXYZ", (rest, alpha, beta, gamma)))
 
 
+def placement_operator(strings, weights) -> np.ndarray:
+    """Dense sum_p weights[p] C_p over equal-length placement strings.
+
+    Each letter is a monomial single-node matrix, so the sum is one call
+    of the product kernel :func:`weylnet.basis.product_operator`.
+    """
+    letters = np.array([[_LETTER_INDEX[ch] for ch in s] for s in strings])
+    return product_operator([(_LETTER_MAPS[node], _LETTER_VALUES[node]) for node in letters.T], weights)
+
+
 def selective_operator(placement: str) -> np.ndarray:
     """Dense matrix of one placement string."""
-    return kron_all(_CHAR_MATS[ch] for ch in placement)
+    return placement_operator([placement], [1.0])
+
+
+def _phased_member(strings: tuple[str, ...], b: int) -> np.ndarray:
+    """sum_p w_Omega^(p b) C_p over the placements of one group (Omega = len(strings))."""
+    omega = len(strings)
+    if not 0 <= b < omega:
+        raise InputError(f"phase index {b} out of range for Omega={omega}")
+    phases = [np.exp(2j * np.pi * ((p * b) % omega) / omega) for p in range(omega)]
+    return placement_operator(strings, phases)
 
 
 def collective_operator(label: CollectiveLabel, n_nodes: int) -> np.ndarray:
     """E_{abg,b} = sum_p w_Omega^(p b) C_p over the canonical placements."""
-    strings = placements(label.alpha, label.beta, label.gamma, n_nodes)
-    omega = len(strings)
-    if not 0 <= label.b < omega:
-        raise InputError(f"phase index {label.b} out of range for Omega={omega}")
-    acc = np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
-    for p, s in enumerate(strings):
-        acc += np.exp(2j * np.pi * ((p * label.b) % omega) / omega) * selective_operator(s)
-    return acc
+    return _phased_member(placements(label.alpha, label.beta, label.gamma, n_nodes), label.b)
 
 
 def collective_labels(n_nodes: int, b_zero_only: bool = False):
@@ -147,12 +162,14 @@ def selective_to_collective(p0: int, alpha: int, beta: int, gamma: int, n_nodes:
 
 
 def selective_from_collective(p0: int, alpha: int, beta: int, gamma: int, n_nodes: int) -> np.ndarray:
-    """Reassemble C_{abg,p0} from the phased collective family."""
+    """Reassemble C_{abg,p0} from the phased collective family.
+
+    sum_b c_b E_b = sum_p (sum_b c_b w^(pb)) C_p, so one inverse DFT of the
+    coefficients c_b gives the placement weights of a single placement sum.
+    """
     coeffs = selective_to_collective(p0, alpha, beta, gamma, n_nodes)
-    acc = np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
-    for b, c in coeffs.items():
-        acc += c * collective_operator(CollectiveLabel(alpha, beta, gamma, b), n_nodes)
-    return acc
+    weights = len(coeffs) * np.fft.ifft(list(coeffs.values()))  # keys are b = 0 .. Omega-1 in order
+    return placement_operator(placements(alpha, beta, gamma, n_nodes), weights)
 
 
 def _as_rho(state, n_nodes: int | None) -> tuple[np.ndarray, int]:
@@ -322,14 +339,7 @@ def f_placements(z: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
 
 
 def f_operator(z: int, gamma: int, b: int, n_nodes: int) -> np.ndarray:
-    strings = f_placements(z, gamma, n_nodes)
-    omega = len(strings)
-    if not 0 <= b < omega:
-        raise InputError(f"phase index {b} out of range for Omega={omega}")
-    acc = np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
-    for p, s in enumerate(strings):
-        acc += np.exp(2j * np.pi * ((p * b) % omega) / omega) * selective_operator(s)
-    return acc
+    return _phased_member(f_placements(z, gamma, n_nodes), b)
 
 
 def g_labels(n_nodes: int):
@@ -347,14 +357,7 @@ def g_placements(m: int, n_nodes: int) -> tuple[str, ...]:
 
 
 def g_operator(m: int, b: int, n_nodes: int) -> np.ndarray:
-    strings = g_placements(m, n_nodes)
-    omega = len(strings)
-    if not 0 <= b < omega:
-        raise InputError(f"phase index {b} out of range for Omega={omega}")
-    acc = np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
-    for p, s in enumerate(strings):
-        acc += np.exp(2j * np.pi * ((p * b) % omega) / omega) * selective_operator(s)
-    return acc
+    return _phased_member(g_placements(m, n_nodes), b)
 
 
 def family_operators(family: str, n_nodes: int):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import apply_products, weyl_factors
 from .cluster import ProductLabel, cluster_operator, label_from_entries
 from .errors import CapExceeded, InputError
 
@@ -34,22 +35,31 @@ DEFAULT_VERTEX_CAP = 5000
 DEFAULT_NODE_BUDGET = 10**8
 
 
-def symplectic_residue(x: ProductLabel, y: ProductLabel) -> int:
-    """sum_i (a_i d_i - b_i c_i) mod n for uniform-dimension labels."""
+def symplectic_form(x, y, n: int) -> np.ndarray:
+    """sum_i (a_i d_i - b_i c_i) mod n for all rows (a_1, b_1, ..., a_N, b_N) of x, (c_1, d_1, ...) of y.
+
+    Entries lie in [0, n).  The (len(x), len(y)) result accumulates node
+    by node mod n in the narrowest integer dtype holding n (n - 1), with
+    one temporary of its size and no wider one.
+    """
+    dtype = np.min_scalar_type(-n * (n - 1))
+    x, y = np.asarray(x).astype(dtype), np.asarray(y).astype(dtype)
+    out = np.zeros((len(x), len(y)), dtype=dtype)
+    for i in range(0, x.shape[1], 2):
+        out += np.multiply.outer(x[:, i], y[:, i + 1])
+        out -= np.multiply.outer(x[:, i + 1], y[:, i])
+        out %= n
+    return out
+
+
+def commute_check(x: ProductLabel, y: ProductLabel) -> bool:
+    """Index-level commutation test (matches the matrix commutator exactly); uniform dimension."""
     if x.dims != y.dims:
         raise InputError("labels live on different networks")
     n = x.dims[0]
     if any(d != n for d in x.dims):
         raise InputError("commutation test requires uniform node dimension")
-    total = 0
-    for (a, b), (c, d) in zip(x.entries, y.entries):
-        total += a * d - b * c
-    return total % n
-
-
-def commute_check(x: ProductLabel, y: ProductLabel) -> bool:
-    """Index-level commutation test (matches the matrix commutator exactly)."""
-    return symplectic_residue(x, y) == 0
+    return not symplectic_form([_label_to_vector(x)], [_label_to_vector(y)], n)[0, 0]
 
 
 @dataclass
@@ -66,10 +76,12 @@ class CommutingSet:
         return len(self.members)
 
     def verify_pairwise(self, matrix_level: bool = False, atol: float = 1e-12) -> bool:
-        for x, y in itertools.combinations(self.members, 2):
-            if not commute_check(x, y):
+        if self.members:
+            vecs = _vectors(self.members)
+            if np.any(symplectic_form(vecs, vecs, self.n)):
                 return False
-            if matrix_level:
+        if matrix_level:
+            for x, y in itertools.combinations(self.members, 2):
                 mx, my = cluster_operator(x), cluster_operator(y)
                 if np.max(np.abs(mx @ my - my @ mx)) > atol:
                     return False
@@ -146,18 +158,15 @@ def pure_cluster_labels(n: int, n_nodes: int) -> list[ProductLabel]:
     ]
 
 
-def _entry_arrays(labels: list[ProductLabel]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-label, per-node index arrays (a_i) and (b_i), one row per label."""
-    av = np.array([[e[0] for e in lab.entries] for lab in labels], dtype=np.int64)
-    bv = np.array([[e[1] for e in lab.entries] for lab in labels], dtype=np.int64)
-    return av, bv
+def _vectors(labels: list[ProductLabel]) -> np.ndarray:
+    """Index vectors (a_1, b_1, ..., a_N, b_N) of the labels, one row per label."""
+    return np.array([_label_to_vector(lab) for lab in labels], dtype=np.int64)
 
 
 def commute_matrix(labels: list[ProductLabel]) -> np.ndarray:
     """Boolean commutation matrix of uniform-dimension labels (no self loops)."""
-    n = labels[0].dims[0]
-    av, bv = _entry_arrays(labels)
-    commute = (av @ bv.T - bv @ av.T) % n == 0
+    vecs = _vectors(labels)
+    commute = symplectic_form(vecs, vecs, labels[0].dims[0]) == 0
     np.fill_diagonal(commute, False)
     return commute
 
@@ -209,8 +218,8 @@ def label_orbits(labels: list[ProductLabel]) -> np.ndarray:
     table = np.full((n, n), -1, dtype=np.int64)
     for (a, b), oid in node_orbits(n).items():
         table[a, b] = oid
-    av, bv = _entry_arrays(labels)
-    keys = np.sort(table[av, bv], axis=1)
+    vecs = _vectors(labels)
+    keys = np.sort(table[vecs[:, 0::2], vecs[:, 1::2]], axis=1)
     return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
@@ -283,23 +292,14 @@ def cat_seed_clique(n: int, n_nodes: int) -> list[int]:
 
     The equal-weight superposition of the n aligned product states is a
     joint eigenstate of a large pure-cluster family; membership is read
-    off structurally (|expectation| = 1), giving a strong clique seed.
+    off structurally, giving a strong clique seed.  U_v |j...j> =
+    w^(j sum b) |(j+a_1)...(j+a_N)> keeps the cat span when all shifts are
+    equal, and the expectation (1/n) sum_j w^(j sum b) then has modulus 1
+    exactly when sum b = 0 mod n.
     """
-    labels = pure_cluster_labels(n, n_nodes)
-    seed = []
-    for vi, lab in enumerate(labels):
-        a0 = lab.entries[0][0]
-        # U_v |j...j> = phase |(j+a_1)...(j+a_N)>: diagonal action on the cat
-        # span requires all shifts equal; the expectation is then a phase sum.
-        if any(e[0] != a0 for e in lab.entries):
-            continue
-        total = 0j
-        for j in range(n):
-            expo = sum(e[1] for e in lab.entries) * j
-            total += np.exp(2j * np.pi * (expo % n) / n)
-        if abs(abs(total) / n - 1.0) < 1e-9:
-            seed.append(vi)
-    return seed
+    vecs = _vectors(pure_cluster_labels(n, n_nodes))
+    a, b = vecs[:, 0::2], vecs[:, 1::2]
+    return np.flatnonzero(np.all(a == a[:, :1], axis=1) & (b.sum(axis=1) % n == 0)).tolist()
 
 
 @dataclass
@@ -389,13 +389,6 @@ def _vector_to_label(vec, dims) -> ProductLabel:
     return label_from_entries(entries, dims)
 
 
-def _sympl(v: tuple, w: tuple, n: int) -> int:
-    total = 0
-    for i in range(0, len(v), 2):
-        total += v[i] * w[i + 1] - v[i + 1] * w[i]
-    return total % n
-
-
 def _group_closure(generators, n: int) -> set:
     gens = list(set(generators))
     if not gens:
@@ -436,32 +429,23 @@ def _complete_group(members, n: int, n_nodes: int, scan_cap: int = 200_000):
     group = _group_closure(set(vecs), n) if vecs else {tuple([0] * (2 * n_nodes))}
     generators = list(vecs)
     target = n ** n_nodes
-    if len(group) < target:
-        for cand in itertools.product(range(n), repeat=2 * n_nodes):
-            if cand in group:
+    start = 0
+    while len(group) < target and start < space:
+        # the next block of vectors in lexicographic order; ok marks those commuting with every generator
+        block = np.arange(start, min(start + 4096, space))
+        cands = np.stack(np.unravel_index(block, (n,) * (2 * n_nodes)), axis=1)
+        start += len(cands)
+        ok = ~np.any(symplectic_form(cands, np.reshape(generators, (-1, 2 * n_nodes)), n), axis=1)
+        for i in np.flatnonzero(ok):
+            cand = tuple(cands[i].tolist())
+            if not ok[i] or cand in group:
                 continue
-            if all(_sympl(cand, g, n) == 0 for g in generators):
-                generators.append(cand)
-                group = _group_closure(set(generators), n)
-                if len(group) >= target:
-                    break
+            generators.append(cand)
+            group = _group_closure(set(generators), n)
+            if len(group) >= target:
+                break
+            ok &= symplectic_form(cands, [cand], n)[:, 0] == 0
     return group, generators
-
-
-def _weyl_action(vecs, psi: np.ndarray, n: int, n_nodes: int) -> np.ndarray:
-    """U_v psi for each index vector v = (a_1, b_1, ..., a_N, b_N), stacked as rows.
-
-    U_ab|j> = w^(bj)|j+a> on every node: a phase multiply and a cyclic
-    shift of the node digits of the basis index (node 1 most
-    significant), with no matrix.
-    """
-    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 2 * n_nodes)
-    a, b = vecs[:, 0::2], vecs[:, 1::2]
-    digits = np.indices((n,) * n_nodes).reshape(n_nodes, -1)
-    phased = np.exp(2j * np.pi * ((b @ digits) % n) / n) * psi
-    place = n ** np.arange(n_nodes - 1, -1, -1)
-    source = np.einsum("k,gkj->gj", place, (digits - a[:, :, None]) % n)  # index of |j - a>
-    return np.take_along_axis(phased, source, axis=1)
 
 
 def _eigen_component(g: tuple[int, ...], psi: np.ndarray, n: int, n_nodes: int) -> np.ndarray:
@@ -472,9 +456,10 @@ def _eigen_component(g: tuple[int, ...], psi: np.ndarray, n: int, n_nodes: int) 
     (1/k) sum_j (U_g/lambda)^j psi; one FFT over j gives all k of them.
     """
     k = n // math.gcd(n, *g)
+    factors = weyl_factors(g[0::2], g[1::2], (n,) * n_nodes)
     powers = [psi]
     for _ in range(k):
-        powers.append(_weyl_action(g, powers[-1], n, n_nodes)[0])
+        powers.append(apply_products(factors, powers[-1])[0])
     root = np.exp(1j * np.angle(np.vdot(psi, powers[k])) / k)
     parts = np.fft.fft(root ** -np.arange(k)[:, None] * np.array(powers[:k]), axis=0) / k
     best = parts[np.argmax(np.linalg.norm(parts, axis=1))]
@@ -506,8 +491,10 @@ def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     keeps the largest component.  The projectors commute, so the result
     is an eigenvector of every group element, unique up to phase when
     the group is complete; a component never vanishes, so there is no
-    retry.  The returned residual is max over the group of
-    ||U psi - <U> psi||, from the same index-level action.
+    retry.  Every U_g acts on vectors through the monomial product kernel
+    (:func:`weylnet.basis.apply_products`), a phase multiply and an index
+    scatter.  The returned residual is max over the group of
+    ||U psi - <U> psi||, from the same action applied to all group elements at once.
     """
     n, n_nodes = cset.n, cset.n_nodes
     dims = (n,) * n_nodes
@@ -518,7 +505,8 @@ def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     psi[seed % dim] = 1.0
     for g in generators:
         psi = _eigen_component(g, psi, n, n_nodes)
-    images = _weyl_action(group_vecs, psi, n, n_nodes)
+    vecs = np.array(group_vecs)
+    images = apply_products(weyl_factors(vecs[:, 0::2], vecs[:, 1::2], dims), psi)
     expectations = images @ psi.conj()
     residual = float(np.max(np.linalg.norm(images - expectations[:, None] * psi, axis=1)))
     group_labels = [_vector_to_label(v, dims) for v in group_vecs]

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import WeylIndex, weyl_matrix
-from .cluster import kron_all
-from .collective import SIGMA_Z, _per_node
+from .collective import _per_node, placement_operator
 from .errors import CapExceeded, DimensionMismatch, InputError
 
 #: spectral trace tolerance for echo Hamiltonians
@@ -155,6 +154,8 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     n(n-1) state-selective two-level pulses (n applications of the
     (n-1)-pulse cyclic permutation).
     """
+    if cycles < 1:
+        raise InputError(f"echo needs at least one cycle, got {cycles}")
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
@@ -330,21 +331,6 @@ def collective_control(m: int, alpha_t: float, n_nodes: int) -> np.ndarray:
     return collective_control_states(m, [alpha_t], n_nodes, np.eye(2 ** n_nodes))[0]
 
 
-def collective_control_expansion(m: int, alpha_t: float, n_nodes: int) -> np.ndarray:
-    """Closed-form product over placements (verification route).
-
-    prod_p (cos(alpha_t) 1 - i sin(alpha_t) C_p); all placements of
-    sigma_x factors commute, so the product equals the exponential.
-    """
-    from .collective import placements, selective_operator
-
-    dim = 2 ** n_nodes
-    u = np.eye(dim, dtype=complex)
-    for s in placements(m, 0, 0, n_nodes):
-        u = u @ (math.cos(alpha_t) * np.eye(dim) - 1j * math.sin(alpha_t) * selective_operator(s))
-    return u
-
-
 def cat_creation_target(n_nodes: int) -> np.ndarray:
     """(|0...0> + i^s |1...1>)/sqrt(2) with s = +1 for even N/2, else -1."""
     if n_nodes % 2:
@@ -389,21 +375,18 @@ def network_zz_hamiltonian(n_nodes: int, couplings, frequencies=None) -> np.ndar
     ``couplings`` maps node pairs (mu, nu) to strengths; missing pairs
     couple with 0.
     """
-    dim = 2 ** n_nodes
-    h = np.zeros((dim, dim), dtype=complex)
-    for (mu, nu), c in dict(couplings).items():
+    terms = list(dict(couplings).items())  # ((mu, nu), c), then ((mu,), w/2)
+    for (mu, nu), _ in terms:
         if not (0 <= mu < nu < n_nodes):
             raise InputError(f"bad node pair ({mu},{nu})")
-        mats = [np.eye(2, dtype=complex)] * n_nodes
-        mats[mu] = SIGMA_Z
-        mats[nu] = SIGMA_Z
-        h += c * kron_all(mats)
     if frequencies is not None:
-        for mu, w in enumerate(frequencies):
-            mats = [np.eye(2, dtype=complex)] * n_nodes
-            mats[mu] = SIGMA_Z
-            h += (w / 2) * kron_all(mats)
-    return h
+        if len(frequencies) > n_nodes:
+            raise InputError(f"{len(frequencies)} frequencies for {n_nodes} nodes")
+        terms += [((mu,), w / 2) for mu, w in enumerate(frequencies)]
+    if not terms:
+        return np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
+    strings = ["".join("Z" if i in nodes else "I" for i in range(n_nodes)) for nodes, _ in terms]
+    return placement_operator(strings, [c for _, c in terms])
 
 
 def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None) -> NetworkEchoReport:

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import kron_all
-from .collective import SIGMA_X, SIGMA_Y, SIGMA_Z, collective_labels, collective_operator
+from .collective import collective_labels, collective_operator, placement_operator, placements
 from .errors import CapExceeded, InputError
-
-_HALF = (SIGMA_X / 2, SIGMA_Y / 2, SIGMA_Z / 2)
 
 
 def permutation_operator(perm) -> np.ndarray:
@@ -36,31 +33,17 @@ def permutation_operator(perm) -> np.ndarray:
     if sorted(perm) != list(range(n_nodes)):
         raise InputError(f"not a permutation of 0..{n_nodes - 1}: {perm}")
     dim = 2 ** n_nodes
+    # digit i of the source is digit perm[i] of the destination
+    source = np.arange(dim).reshape((2,) * n_nodes).transpose(np.argsort(perm)).ravel()
     p = np.zeros((dim, dim), dtype=complex)
-    for src in range(dim):
-        bits = [(src >> (n_nodes - 1 - i)) & 1 for i in range(n_nodes)]
-        out = [0] * n_nodes
-        for i, bit in enumerate(bits):
-            out[perm[i]] = bit
-        dst = 0
-        for bit in out:
-            dst = dst * 2 + bit
-        p[dst, src] = 1.0
+    p[np.arange(dim), source] = 1.0
     return p
 
 
 def collective_spin(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total spin components S_x, S_y, S_z (spin-1/2 per node)."""
-    dim = 2 ** n_nodes
-    out = []
-    for s in _HALF:
-        acc = np.zeros((dim, dim), dtype=complex)
-        for node in range(n_nodes):
-            mats = [np.eye(2, dtype=complex)] * n_nodes
-            mats[node] = s
-            acc += kron_all(mats)
-        out.append(acc)
-    return tuple(out)
+    """Total spin components S_x, S_y, S_z (spin-1/2 per node): E_{100,0}/2, E_{010,0}/2, E_{001,0}/2."""
+    return tuple(placement_operator(placements(*counts, n_nodes), [0.5] * n_nodes)
+                 for counts in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 @dataclass

@@ -3,11 +3,15 @@
 Each coefficient expansion here builds one dense matrix per label
 (Kronecker products of single-node matrices) and takes traces, which is
 how the package computed these coefficients before every expansion went
-through the Weyl transform.  The collective control pulse is the dense
-drive exponentiated by diagonalization, placements are deduplicated
-permutations, the clique search builds its full coloring as lists on
-every node, and the common eigenstate diagonalizes a random combination
-of dense group matrices.  They are slow and exist only as test oracles.
+through the Weyl transform.  Product operators (cluster operators,
+collective family members, total spin, the zz network Hamiltonian) are
+sums of dense Kronecker products, as the package built them before the
+monomial product kernel; no oracle here goes through that kernel.  The
+collective control pulse is the dense drive exponentiated by
+diagonalization, placements are deduplicated permutations, the clique
+search builds its full coloring as lists on every node, and the common
+eigenstate diagonalizes a random combination of dense group matrices.
+They are slow and exist only as test oracles.
 """
 
 import itertools
@@ -16,18 +20,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.cluster import kron_all
 from weylnet.collective import (
+    ID2,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     CollectiveLabel,
-    collective_operator,
-    family_operators,
+    collective_labels,
+    f_labels,
+    f_placements,
+    g_labels,
+    g_placements,
     multiplicity,
     placements,
-    selective_operator,
 )
-from weylnet.commuting import complete_commuting_group
+from weylnet.commuting import _group_closure, complete_commuting_group
+from weylnet.errors import InputError
 from weylnet.protocols import hermitian_expm
+
+LETTERS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z, "P": SIGMA_PLUS, "M": SIGMA_MINUS}
 
 
 def node_labels(dims):
@@ -37,11 +51,112 @@ def node_labels(dims):
 
 @lru_cache(maxsize=None)
 def _node_unitary(a, b, n):
-    return weyl_matrix(WeylIndex(a, b, n))
+    return weyl_matrix(a, b, n)
+
+
+def weyl_matrix(a, b, n):
+    """U_ab entry by entry: ((k+a) mod n, k) = w^(b*k)."""
+    m = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        m[(k + a) % n, k] = np.exp(2j * np.pi * ((b * k) % n) / n)
+    return m
 
 
 def product_unitary(entries, dims):
     return kron_all(_node_unitary(a, b, n) for (a, b), n in zip(entries, dims))
+
+
+def cluster_operator(label):
+    """Kronecker product of the per-node basis unitaries of a ProductLabel."""
+    return product_unitary(label.entries, label.dims)
+
+
+def selective_operator(placement):
+    """Kronecker product of the single-node letter matrices of one placement string."""
+    return kron_all(LETTERS[ch] for ch in placement)
+
+
+def phased_member(strings, b):
+    """sum_p w_Omega^(p b) C_p, one dense Kronecker product per placement."""
+    omega = len(strings)
+    if not 0 <= b < omega:
+        raise InputError(f"phase index {b} out of range for Omega={omega}")
+    d = 2 ** len(strings[0])
+    acc = np.zeros((d, d), dtype=complex)
+    for p, s in enumerate(strings):
+        acc += np.exp(2j * np.pi * ((p * b) % omega) / omega) * selective_operator(s)
+    return acc
+
+
+def collective_operator(label, n_nodes):
+    return phased_member(placements(label.alpha, label.beta, label.gamma, n_nodes), label.b)
+
+
+def f_operator(z, gamma, b, n_nodes):
+    return phased_member(f_placements(z, gamma, n_nodes), b)
+
+
+def g_operator(m, b, n_nodes):
+    return phased_member(g_placements(m, n_nodes), b)
+
+
+def family_operators(family, n_nodes):
+    """(label, matrix) pairs of the E, F or G family from the dense members above."""
+    if family == "E":
+        for label in collective_labels(n_nodes):
+            yield label, collective_operator(label, n_nodes)
+    elif family == "F":
+        for z, gamma in f_labels(n_nodes):
+            for b in range(len(f_placements(z, gamma, n_nodes))):
+                yield (z, gamma, b), f_operator(z, gamma, b, n_nodes)
+    else:
+        for m in g_labels(n_nodes):
+            for b in range(len(g_placements(m, n_nodes))):
+                yield (m, b), g_operator(m, b, n_nodes)
+
+
+def collective_spin(n_nodes):
+    """S_x, S_y, S_z as sums over nodes of Kronecker products with one sigma/2 factor."""
+    dim = 2 ** n_nodes
+    out = []
+    for s in (SIGMA_X / 2, SIGMA_Y / 2, SIGMA_Z / 2):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for node in range(n_nodes):
+            mats = [np.eye(2, dtype=complex)] * n_nodes
+            mats[node] = s
+            acc += kron_all(mats)
+        out.append(acc)
+    return tuple(out)
+
+
+def network_zz_hamiltonian(n_nodes, couplings, frequencies=None):
+    """sum c_{mu nu} Z_mu Z_nu + sum (w_mu / 2) Z_mu, one Kronecker product per term."""
+    dim = 2 ** n_nodes
+    h = np.zeros((dim, dim), dtype=complex)
+    for (mu, nu), c in dict(couplings).items():
+        mats = [np.eye(2, dtype=complex)] * n_nodes
+        mats[mu] = SIGMA_Z
+        mats[nu] = SIGMA_Z
+        h += c * kron_all(mats)
+    if frequencies is not None:
+        for mu, w in enumerate(frequencies):
+            mats = [np.eye(2, dtype=complex)] * n_nodes
+            mats[mu] = SIGMA_Z
+            h += (w / 2) * kron_all(mats)
+    return h
+
+
+def collective_control_expansion(m, alpha_t, n_nodes):
+    """prod_p (cos(alpha_t) 1 - i sin(alpha_t) C_p) over the all-x placements.
+
+    All placements of sigma_x factors commute, so the product equals
+    exp(-i alpha_t E_{m00,0}).
+    """
+    dim = 2 ** n_nodes
+    u = np.eye(dim, dtype=complex)
+    for s in placements(m, 0, 0, n_nodes):
+        u = u @ (math.cos(alpha_t) * np.eye(dim) - 1j * math.sin(alpha_t) * selective_operator(s))
+    return u
 
 
 def weyl_coefficients(op, dims):
@@ -78,7 +193,7 @@ def generator_matrix(h):
     """Omega_ij = (i/n) tr{H [U_i^dag, U_j]} by explicit matrix commutators."""
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
-    ops = [weyl_matrix(WeylIndex(i // n, i % n, n)) for i in range(n * n)]
+    ops = [weyl_matrix(i // n, i % n, n) for i in range(n * n)]
     omega = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n * n):
         di = ops[i].conj().T
@@ -91,7 +206,7 @@ def rotation_matrix(u):
     """T_ij = (1/n) tr{U_j U^dag U_i^dag U} by explicit products."""
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    ops = [weyl_matrix(WeylIndex(i // n, i % n, n)) for i in range(n * n)]
+    ops = [weyl_matrix(i // n, i % n, n) for i in range(n * n)]
     t = np.array([[np.trace(ops[j] @ u.conj().T @ ops[i].conj().T @ u) for j in range(n * n)]
                   for i in range(n * n)]) / n
     return t[1:, 1:]
@@ -226,3 +341,59 @@ def common_eigenstate(cset, seed=0, max_tries=25):
         if best is None or residual < best[1]:
             best = (psi, residual)
     return best
+
+
+def symplectic(v, w, n):
+    """sum_i (a_i d_i - b_i c_i) mod n of two index vectors, by a Python loop."""
+    total = 0
+    for i in range(0, len(v), 2):
+        total += v[i] * w[i + 1] - v[i + 1] * w[i]
+    return total % n
+
+
+def complete_group(members, n, n_nodes):
+    """(group, generators) by scanning every vector in lexicographic order, one test at a time."""
+    vecs = [tuple(x for e in m.entries for x in e) for m in members]
+    group = _group_closure(set(vecs), n) if vecs else {tuple([0] * (2 * n_nodes))}
+    generators = list(vecs)
+    if len(group) < n ** n_nodes:
+        for cand in itertools.product(range(n), repeat=2 * n_nodes):
+            if cand in group:
+                continue
+            if all(symplectic(cand, g, n) == 0 for g in generators):
+                generators.append(cand)
+                group = _group_closure(set(generators), n)
+                if len(group) >= n ** n_nodes:
+                    break
+    return group, generators
+
+
+def cat_seed_clique(n, n_nodes):
+    """Labels with |<cat| U |cat>| = 1 on the aligned cat state, by a phase sum per label."""
+    from weylnet.commuting import pure_cluster_labels
+
+    seed = []
+    for vi, lab in enumerate(pure_cluster_labels(n, n_nodes)):
+        if any(e[0] != lab.entries[0][0] for e in lab.entries):
+            continue
+        total = sum(np.exp(2j * np.pi * (sum(e[1] for e in lab.entries) * j % n) / n) for j in range(n))
+        if abs(abs(total) / n - 1.0) < 1e-9:
+            seed.append(vi)
+    return seed
+
+
+def permutation_operator(perm):
+    """P (|x_1> ... |x_N>) = |x_{perm^-1(1)}> ..., bit by bit."""
+    n_nodes = len(perm)
+    dim = 2 ** n_nodes
+    p = np.zeros((dim, dim), dtype=complex)
+    for src in range(dim):
+        bits = [(src >> (n_nodes - 1 - i)) & 1 for i in range(n_nodes)]
+        out = [0] * n_nodes
+        for i, bit in enumerate(bits):
+            out[perm[i]] = bit
+        dst = 0
+        for bit in out:
+            dst = dst * 2 + bit
+        p[dst, src] = 1.0
+    return p

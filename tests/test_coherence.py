@@ -77,6 +77,13 @@ class TestExpansion:
         with pytest.raises(InputError):
             coherence.validate_state(nan)  # every NaN comparison is False
 
+    @pytest.mark.parametrize("a, b", [(-1, 1), (5, 0), (0, 2), (1, -1)])
+    def test_entry_out_of_range(self, a, b):
+        # a negative index must not wrap round to another component
+        cv = coherence.expand_state(np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
+        with pytest.raises(InputError):
+            cv.entry(a, b)
+
 
 class TestRotationMatrix:
     def test_identity_evolution(self):

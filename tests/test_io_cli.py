@@ -310,6 +310,18 @@ class TestCliCommands:
     def test_control_too_large_exits_3(self, runner):
         assert runner.invoke(main, ["control", "--nodes", "40"]).exit_code == 3
 
+    def test_cat_profile_beyond_float_range_exits_3(self, runner):
+        result = runner.invoke(main, ["cat", "--dim", "3", "--nodes", "700"])
+        assert result.exit_code == 3, result.output
+        assert "float range" in result.output
+        assert runner.invoke(main, ["cat", "--dim", "3", "--nodes", "600"]).exit_code == 0
+
+    @pytest.mark.parametrize("cycles", ["-1", "0"])
+    def test_echo_nonpositive_cycles_exits_2(self, runner, cycles):
+        result = runner.invoke(main, ["echo", "--dim", "4", "--cycles", cycles])
+        assert result.exit_code == 2, result.output
+        assert "--cycles" in result.output
+
     def test_table_csum_bad_dimension_list_exits_2(self, runner):
         result = runner.invoke(main, ["table-csum", "--n", "abc"])
         assert result.exit_code == 2, result.output

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import protocols
 from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.collective import CollectiveLabel, collective_operator
 from weylnet.errors import CapExceeded, DimensionMismatch, InputError
@@ -123,6 +122,11 @@ class TestEcho:
             assert rep.stroboscopic_residual < 1e-10
             assert rep.pulse_count == n * (n - 1) * 2
 
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_nonpositive_cycles_rejected(self, cycles):
+        with pytest.raises(InputError, match="cycle"):
+            echo_schedule(np.diag([1.0, -1.0]), 1.0, cycles=cycles)
+
     def test_non_traceless_rejected_with_shift(self):
         h = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(InputError, match="shift by"):
@@ -219,7 +223,7 @@ class TestCollectiveControl:
     def test_matches_product_expansion(self, n_nodes):
         for area in (0.37, math.pi / 4):
             a = collective_control(2, area, n_nodes)
-            b = protocols.collective_control_expansion(2, area, n_nodes)
+            b = oracles.collective_control_expansion(2, area, n_nodes)
             assert np.max(np.abs(a - b)) < 1e-10
 
     @pytest.mark.parametrize("n_nodes", [2, 4, 6])
