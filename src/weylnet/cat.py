@@ -49,10 +49,6 @@ def cat_state(n: int, label) -> np.ndarray:
     return psi / np.sqrt(n)
 
 
-def cat_network_state(n: int, label, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
-    return NetworkState.from_pure(cat_state(n, label), (n,) * len(tuple(label)), dim_cap=dim_cap)
-
-
 def cat_from_base(n: int, label) -> np.ndarray:
     """|cat>_c as local basis unitaries applied to |cat>_0.
 

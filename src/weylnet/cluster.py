@@ -123,7 +123,7 @@ class NetworkState:
         """Validated per-node dimensions as Python ints (no fixed-width overflow)."""
         try:
             dims = tuple(int(n) for n in dims)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"per-node dimensions must be integers: {exc}") from exc
         if not dims or any(n < 2 for n in dims):
             raise InputError(f"per-node dimensions must all be >= 2, got {dims}")

@@ -116,7 +116,11 @@ def placement_operator(strings, weights) -> np.ndarray:
     Each letter is a monomial single-node matrix, so the sum is one call
     of the product kernel :func:`weylnet.basis.product_operator`.
     """
-    letters = np.array([[_LETTER_INDEX[ch] for ch in s] for s in strings])
+    try:
+        letters = np.array([[_LETTER_INDEX[ch] for ch in s] for s in strings])
+    except KeyError as exc:
+        raise InputError(f"unknown placement letter {exc.args[0]!r}; "
+                         f"letters are {''.join(_CHAR_MATS)}") from exc
     return product_operator([(_LETTER_MAPS[node], _LETTER_VALUES[node]) for node in letters.T], weights)
 
 

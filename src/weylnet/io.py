@@ -4,11 +4,22 @@ Operator schema: {"dim": n, "entries": [[{"re": x, "im": y}, ...], ...]}
 with row-major entries.  A network-state file adds "dims": [n_1, ..., n_N].
 Floats serialize through Python's shortest round-trip repr, so the
 round trip is bit-exact.
+
+The codec keeps no Python object per matrix entry beyond parsing or
+formatting it.  The reader turns each {"re", "im"} cell of two real
+numbers into a ``complex`` while ``json`` parses (any key order,
+int-valued parts, extra keys ignored), so a well-formed grid becomes an
+array in one call; any other cell goes through the per-cell
+conversion, which names what is wrong with it.  The writers format each row with one ``%`` operation over
+its interleaved real and imaginary parts, byte-identical to
+``json.dumps`` of the cell dicts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -16,52 +27,95 @@ from .cluster import DEFAULT_DIM_CAP, NetworkState
 from .errors import InputError
 
 
-def operator_to_dict(op) -> dict:
-    m = np.asarray(op, dtype=complex)
+_REAL = (float, int)  # exact types: bool cells take the per-cell route
+
+
+def _cell_hook(obj: dict):
+    """A {"re": x, "im": y} object with real-number values as a complex; else the object."""
+    try:
+        re, im = obj["re"], obj["im"]
+    except KeyError:
+        return obj
+    if type(re) in _REAL and type(im) in _REAL:  # extra keys are ignored, as per cell
+        try:
+            return complex(re, im)
+        except OverflowError:  # an integer beyond float range
+            pass
+    return obj
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text, object_hook=_cell_hook)
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or a >4300-digit int
+        raise InputError(f"invalid JSON: {exc}") from exc
+
+
+def _loads_object(text: str) -> dict:
+    data = _loads(text)
+    if not isinstance(data, dict):
+        raise InputError("top-level JSON object expected")
+    return data
+
+
+def _float_text(x: float) -> str:
+    """json's spelling of a float: repr, or NaN/Infinity/-Infinity."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _entries_text(op) -> tuple[int, str]:
+    """(dim, the "entries" grid as JSON text) of a square matrix."""
+    m = np.ascontiguousarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("operator must be a square matrix")
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [
-            [{"re": float(z.real), "im": float(z.imag)} for z in row]
-            for row in m
-        ],
-    }
+    dim = m.shape[0]
+    parts = m.view(float).tolist()  # per row: re_0, im_0, re_1, im_1, ...
+    if np.isfinite(m).all():
+        row = "[" + ", ".join(['{"re": %r, "im": %r}'] * dim) + "]"
+        rows = [row % tuple(values) for values in parts]
+    else:
+        rows = ["[" + ", ".join('{"re": %s, "im": %s}' % (_float_text(re), _float_text(im))
+                                for re, im in zip(values[::2], values[1::2])) + "]"
+                for values in parts]
+    return dim, "[" + ", ".join(rows) + "]"
 
 
 def operator_from_dict(data: dict) -> np.ndarray:
     try:
         dim = int(data["dim"])
         rows = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed operator object: {exc}") from exc
+    if dim < 1:
+        raise InputError(f"operator dimension must be positive, got {dim}")
     if not isinstance(rows, list) or len(rows) != dim or any(
             not isinstance(r, list) or len(r) != dim for r in rows):
         raise InputError(f"entries are not a {dim}x{dim} grid")
-    m = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            try:
-                m[i, j] = complex(float(cell["re"]), float(cell["im"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"malformed entry at ({i},{j}): {exc}") from exc
+    if set(map(type, itertools.chain.from_iterable(rows))) == {complex}:
+        m = np.array(rows, dtype=complex)
+    else:
+        m = np.empty((dim, dim), dtype=complex)
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if type(cell) is complex:
+                    m[i, j] = cell
+                    continue
+                try:
+                    m[i, j] = complex(float(cell["re"]), float(cell["im"]))
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise InputError(f"malformed entry at ({i},{j}): {exc}") from exc
     if not np.all(np.isfinite(m)):
         raise InputError("operator entries must be finite")
     return m
 
 
 def operator_to_json(op) -> str:
-    return json.dumps(operator_to_dict(op))
+    dim, entries = _entries_text(op)
+    return '{"dim": %d, "entries": %s}' % (dim, entries)
 
 
 def operator_from_json(text: str) -> np.ndarray:
-    return operator_from_dict(_loads(text))
-
-
-def state_to_dict(state: NetworkState) -> dict:
-    data = operator_to_dict(state.rho)
-    data["dims"] = [int(n) for n in state.dims]
-    return data
+    return operator_from_dict(_loads_object(text))
 
 
 def state_from_dict(data: dict, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
@@ -72,32 +126,13 @@ def state_from_dict(data: dict, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
 
 
 def state_to_json(state: NetworkState) -> str:
-    return json.dumps(state_to_dict(state))
+    dim, entries = _entries_text(state.rho)
+    return '{"dim": %d, "entries": %s, "dims": %s}' % (
+        dim, entries, json.dumps([int(n) for n in state.dims]))
 
 
 def state_from_json(text: str, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
-    return state_from_dict(_loads(text), dim_cap=dim_cap)
-
-
-def _loads(text: str) -> dict:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("top-level JSON object expected")
-    return data
-
-
-def schedule_to_dicts(schedule) -> list:
-    """Schedule as a JSON-ready list of segment objects."""
-    out = []
-    for seg in schedule.segments:
-        entry = {"kind": seg.kind, "operator": operator_to_dict(seg.operator)}
-        if seg.kind == "hamiltonian":
-            entry["dt"] = float(seg.duration)
-        out.append(entry)
-    return out
+    return state_from_dict(_loads_object(text), dim_cap=dim_cap)
 
 
 def schedule_from_dicts(data) -> "PulseSchedule":
@@ -106,14 +141,20 @@ def schedule_from_dicts(data) -> "PulseSchedule":
     if not isinstance(data, list):
         raise InputError("schedule JSON must be a list of segments")
     segments = []
+    shared = {}  # equal operators become one array, as in the schedule that was written
     for k, entry in enumerate(data):
         try:
             kind = entry["kind"]
             op = operator_from_dict(entry["operator"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed segment {k}: {exc}") from exc
+        op = shared.setdefault(op.tobytes(), op)
         if kind == "hamiltonian":
-            segments.append(Segment("hamiltonian", op, float(entry.get("dt", 0.0))))
+            try:
+                dt = float(entry.get("dt", 0.0))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"segment {k} has a malformed dt: {exc}") from exc
+            segments.append(Segment("hamiltonian", op, dt))
         elif kind == "gate":
             segments.append(Segment("gate", op, 0.0))
         else:
@@ -122,15 +163,22 @@ def schedule_from_dicts(data) -> "PulseSchedule":
 
 
 def schedule_to_json(schedule) -> str:
-    return json.dumps(schedule_to_dicts(schedule))
+    """Segment list as JSON; each distinct operator object is formatted once."""
+    texts = {}
+    parts = []
+    for seg in schedule.segments:
+        op = texts.get(id(seg.operator))
+        if op is None:
+            op = texts[id(seg.operator)] = operator_to_json(seg.operator)
+        text = '{"kind": %s, "operator": %s' % (json.dumps(seg.kind), op)
+        if seg.kind == "hamiltonian":
+            text += ', "dt": %s' % _float_text(float(seg.duration))
+        parts.append(text + "}")
+    return "[" + ", ".join(parts) + "]"
 
 
 def schedule_from_json(text: str) -> "PulseSchedule":
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
-    return schedule_from_dicts(data)
+    return schedule_from_dicts(_loads(text))
 
 
 def trajectory_csv(times, states) -> str:

@@ -101,19 +101,44 @@ class PulseSchedule:
         if not self.segments:
             raise InputError("empty schedule has no fixed dimension")
         u = np.eye(self.dim, dtype=complex)
-        for seg in self.segments:
-            u = seg.unitary() @ u
+        for step in _segment_unitaries(self.segments):
+            u = step @ u
         return u
+
+
+def _segment_unitaries(segments):
+    """Each segment's unitary in order, exponentiating each distinct
+    (operator object, duration) once.
+
+    A unitary is kept only until the last segment that uses it, so a
+    schedule of all-distinct Hamiltonians holds one at a time.  The
+    exponential of equal inputs is bit-equal, so sharing changes no
+    result; an echo's 2 n cycles segments hold two operator objects.
+    """
+    keys = [(id(s.operator), float(s.duration).hex()) if s.kind == "hamiltonian" else None
+            for s in segments]  # hex keeps -0.0 apart
+    last_use = {key: i for i, key in enumerate(keys)}
+    cache = {}
+    for i, (seg, key) in enumerate(zip(segments, keys)):
+        if key is None:
+            yield seg.operator
+            continue
+        u = cache.pop(key, None)
+        if u is None:
+            u = seg.unitary()
+        if last_use[key] > i:
+            cache[key] = u
+        yield u
 
 
 def evolve(schedule: PulseSchedule, psi0) -> list[np.ndarray]:
     """States after each segment (norm preserved to machine precision)."""
     psi = np.asarray(psi0, dtype=complex).ravel()
+    if schedule.segments and schedule.dim != psi.shape[0]:
+        raise DimensionMismatch("segment dimension does not match the state")
     out = []
-    for seg in schedule.segments:
-        if seg.operator.shape[0] != psi.shape[0]:
-            raise DimensionMismatch("segment dimension does not match the state")
-        psi = seg.unitary() @ psi
+    for step in _segment_unitaries(schedule.segments):
+        psi = step @ psi
         out.append(psi)
     return out
 
@@ -171,8 +196,8 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
         segments.append(Segment("gate", perm, 0.0))
     schedule = PulseSchedule(segments)
     u_period = np.eye(n, dtype=complex)
-    for seg in schedule.segments[: 2 * n]:
-        u_period = seg.unitary() @ u_period
+    for step in _segment_unitaries(schedule.segments[: 2 * n]):
+        u_period = step @ u_period
     u_total = np.linalg.matrix_power(u_period, cycles)
     report = EchoReport(
         n=n,

@@ -11,10 +11,13 @@ collective control pulse is the dense drive exponentiated by
 diagonalization, placements are deduplicated permutations, the clique
 search builds its full coloring as lists on every node, and the common
 eigenstate diagonalizes a random combination of dense group matrices.
+The operator JSON codec builds one dict per matrix entry and lets
+``json`` format it, and reads the parsed dicts back cell by cell.
 They are slow and exist only as test oracles.
 """
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -397,3 +400,66 @@ def permutation_operator(perm):
             dst = dst * 2 + bit
         p[dst, src] = 1.0
     return p
+
+
+def operator_to_dict(op):
+    """Operator schema as one {"re", "im"} dict per entry (byte oracle through json.dumps)."""
+    m = np.asarray(op, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError("operator must be a square matrix")
+    return {
+        "dim": int(m.shape[0]),
+        "entries": [
+            [{"re": float(z.real), "im": float(z.imag)} for z in row]
+            for row in m
+        ],
+    }
+
+
+def state_to_dict(state):
+    data = operator_to_dict(state.rho)
+    data["dims"] = [int(n) for n in state.dims]
+    return data
+
+
+def schedule_to_dicts(schedule):
+    """Schedule as a JSON-ready list of segment objects, every operator in full."""
+    out = []
+    for seg in schedule.segments:
+        entry = {"kind": seg.kind, "operator": operator_to_dict(seg.operator)}
+        if seg.kind == "hamiltonian":
+            entry["dt"] = float(seg.duration)
+        out.append(entry)
+    return out
+
+
+def operator_from_dict(data):
+    """Decode oracle: the operator grid of parsed JSON dicts, cell by cell."""
+    try:
+        dim = int(data["dim"])
+        rows = data["entries"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed operator object: {exc}") from exc
+    if not isinstance(rows, list) or len(rows) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in rows):
+        raise InputError(f"entries are not a {dim}x{dim} grid")
+    m = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            try:
+                m[i, j] = complex(float(cell["re"]), float(cell["im"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"malformed entry at ({i},{j}): {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise InputError("operator entries must be finite")
+    return m
+
+
+def operator_from_json(text):
+    return operator_from_dict(json.loads(text))
+
+
+def schedule_operators_from_json(text):
+    """(kind, operator, dt) per segment of a schedule file, through the decode oracle."""
+    return [(seg["kind"], operator_from_dict(seg["operator"]), float(seg.get("dt", 0.0)))
+            for seg in json.loads(text)]

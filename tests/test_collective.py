@@ -95,6 +95,12 @@ class TestOperators:
         # placement order is ("IZ", "ZI"); the phased member is their difference
         assert np.max(np.abs(got - oracle)) < 1e-14
 
+    @pytest.mark.parametrize("build", [lambda: collective.selective_operator("XQ"),
+                                       lambda: collective.placement_operator(["XQ"], [1.0])])
+    def test_unknown_letter_rejected(self, build):
+        with pytest.raises(InputError, match="'Q'"):
+            build()
+
     def test_single_permutation_class(self):
         got = collective_operator(CollectiveLabel(2, 0, 0, 0), 2)
         assert np.max(np.abs(got - np.kron(SIGMA_X, SIGMA_X))) < 1e-14

@@ -228,6 +228,43 @@ class TestCliCommands:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    HUGE = "1" * 401  # an integer literal beyond float range
+
+    @pytest.mark.parametrize("command", [["analyze"], ["collective-decompose"],
+                                         ["echo", "--hamiltonian"]])
+    def test_cell_integer_beyond_float_range_exits_2(self, runner, tmp_path, command):
+        if command[0] == "echo":
+            text, first = io.operator_to_json(np.diag([1.0, -1.0])), "1.0"
+        else:
+            text, first = io.state_to_json(NetworkState.from_rho(np.eye(4) / 4, (2, 2))), "0.25"
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"re": ' + first, '"re": ' + self.HUGE, 1))
+        result = runner.invoke(main, command + [str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: malformed entry at (0,0): int too large to convert to float\n"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["echo", "--schedule"]])
+    def test_integer_literal_over_digit_limit_exits_2(self, runner, tmp_path, command):
+        path = tmp_path / "digits.json"
+        text = '{"dim": %s, "entries": [], "dims": [2]}' if command[0] == "analyze" else '[%s]'
+        path.write_text(text % ("9" * 4400))
+        result = runner.invoke(main, command + [str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: invalid JSON: Exceeds the limit")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("dt", ['"x"', "null", "[0.5]"])
+    def test_schedule_malformed_dt_exits_2(self, runner, tmp_path, dt):
+        from weylnet.protocols import echo_schedule
+
+        schedule, _ = echo_schedule(np.diag([1.0, -1.0]), 1.0)
+        path = tmp_path / "schedule.json"
+        path.write_text(io.schedule_to_json(schedule).replace('"dt": 0.5', '"dt": ' + dt, 1))
+        result = runner.invoke(main, ["echo", "--schedule", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: segment 0 has a malformed dt: ")
+        assert result.output.count("\n") == 1
+
     def test_cap_exit_code(self, runner, tmp_path):
         st = NetworkState.from_pure(cat_state(2, (0,) * 8), (2,) * 8)
         path = tmp_path / "big.json"

@@ -1,6 +1,8 @@
 """Schedules, echoes, pi-pulse factorization, Gray cycles, collective control."""
 
 import math
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from weylnet import io, protocols
 from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.collective import CollectiveLabel, collective_operator
 from weylnet.errors import CapExceeded, DimensionMismatch, InputError
@@ -86,6 +89,53 @@ class TestSegmentsAndEvolve:
             Segment("gate", np.eye(2), 1.0)  # gates are instantaneous
         with pytest.raises(DimensionMismatch):
             PulseSchedule([Segment("gate", np.eye(2)), Segment("gate", np.eye(3))])
+
+    def test_one_exponential_per_distinct_segment(self):
+        rng = np.random.default_rng(4)
+        h = random_traceless(5, rng)
+        psi = np.zeros(5, dtype=complex)
+        psi[2] = 1.0
+        with mock.patch.object(protocols, "hermitian_expm", wraps=hermitian_expm) as expm:
+            schedule, _ = echo_schedule(h, 1.1, cycles=3)  # period product: one exponential
+            assert expm.call_count == 1
+            u = schedule.unitary()
+            states = evolve(schedule, psi)
+            # a replayed file holds equal copies, not one shared array
+            replayed = io.schedule_from_json(io.schedule_to_json(schedule))
+            u_replayed = replayed.unitary()
+        assert expm.call_count == 4
+        # per-segment exponentials, as before the cache: the same bits
+        u_each, psi_each, states_each = np.eye(5, dtype=complex), psi, []
+        for seg in schedule.segments:
+            step = hermitian_expm(seg.operator, seg.duration) if seg.kind == "hamiltonian" else seg.operator
+            u_each = step @ u_each
+            psi_each = step @ psi_each
+            states_each.append(psi_each)
+        assert np.array_equal(u, u_each) and np.array_equal(u_replayed, u_each)
+        times = np.concatenate([[0.0], np.cumsum([s.duration for s in schedule.segments])])
+        assert io.trajectory_csv(times, [psi] + states) == io.trajectory_csv(times, [psi] + states_each)
+
+    def test_distinct_durations_and_operators_not_shared(self):
+        rng = np.random.default_rng(5)
+        h = random_traceless(3, rng)
+        sched = PulseSchedule([Segment("hamiltonian", h, 0.5), Segment("hamiltonian", h, 0.25),
+                               Segment("hamiltonian", 2 * h, 0.5), Segment("hamiltonian", h, 0.5)])
+        with mock.patch.object(protocols, "hermitian_expm", wraps=hermitian_expm) as expm:
+            u = sched.unitary()
+        assert expm.call_count == 3
+        expected = np.eye(3, dtype=complex)
+        for seg in sched.segments:
+            expected = hermitian_expm(seg.operator, seg.duration) @ expected
+        assert np.array_equal(u, expected)
+
+    def test_unitary_dropped_after_last_use(self):
+        rng = np.random.default_rng(6)
+        h = random_traceless(3, rng)
+        steps = protocols._segment_unitaries([Segment("hamiltonian", h, 0.5),
+                                              Segment("hamiltonian", h, 0.25)])
+        first = weakref.ref(next(steps))
+        next(steps)
+        assert first() is None  # an all-distinct schedule holds one unitary at a time
 
     def test_expm_engines_agree(self):
         rng = np.random.default_rng(2)
