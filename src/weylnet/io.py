@@ -10,9 +10,9 @@ formatting it.  The reader turns each {"re", "im"} cell of two real
 numbers into a ``complex`` while ``json`` parses (any key order,
 int-valued parts, extra keys ignored), so a well-formed grid becomes an
 array in one call; any other cell goes through the per-cell
-conversion, which names what is wrong with it.  The writers format each row with one ``%`` operation over
-its interleaved real and imaginary parts, byte-identical to
-``json.dumps`` of the cell dicts.
+conversion, which names what is wrong with it.  The writers format
+each row with one ``%`` operation over its interleaved real and
+imaginary parts, byte-identical to ``json.dumps`` of the cell dicts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _cell_hook(obj: dict):
         re, im = obj["re"], obj["im"]
     except KeyError:
         return obj
-    if type(re) in _REAL and type(im) in _REAL:  # extra keys are ignored, as per cell
+    if type(re) in _REAL and type(im) in _REAL:  # extra keys ignored, as the per-cell route does
         try:
             return complex(re, im)
         except OverflowError:  # an integer beyond float range
