@@ -30,9 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InputError
 
-#: Default absolute tolerance for matrix-equality assertions (n <= 8).
-ATOL = 1e-12
-
 
 def root_of_unity(n: int, k: int = 1) -> complex:
     """w_n^k with the exponent reduced mod n first (keeps phases crisp)."""

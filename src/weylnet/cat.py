@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import apply_products, weyl_factors
-from .cluster import DEFAULT_DIM_CAP, NetworkState, cluster_sums, purity_factors
+from .cluster import DEFAULT_DIM_CAP, NetworkState, purity_factors
 from .errors import CapExceeded, InputError
 
 
@@ -165,11 +165,10 @@ def cat_verify(n: int, n_nodes: int, labels=None, dim_cap: int = DEFAULT_DIM_CAP
     y_err = p_err = s_err = 0.0
     for lab, psi in zip(labels, vectors):
         state = NetworkState.from_pure(psi, (n,) * n_nodes, dim_cap=dim_cap)
-        table = cluster_sums(state)
-        for subset, y in table.values.items():
+        report = purity_factors(state)
+        for subset, y in report.table.values.items():
             if subset:
                 y_err = max(y_err, abs(y - profile.y(len(subset))))
-        report = purity_factors(state)
         for subset, row in report.rows.items():
             p_err = max(p_err, abs(row.p - profile.p(len(subset))))
             if len(subset) < n_nodes:

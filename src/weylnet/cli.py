@@ -38,8 +38,6 @@ def _run(fn):
         _fail(EXIT_BAD_INPUT, str(exc))
     except CapExceeded as exc:
         _fail(EXIT_CAP, str(exc))
-    except (VerificationFailure,) as exc:
-        _fail(EXIT_VERIFY, str(exc))
     except WeylnetError as exc:
         _fail(EXIT_VERIFY, str(exc))
 
@@ -464,7 +462,7 @@ def cmd_collective_decompose(ctx, state_file, output):
         if np.max(np.abs(recon - state.rho)) > 1e-12:
             raise VerificationFailure("collective reconstruction failed")
         rows = [(lab.alpha, lab.beta, lab.gamma, lab.b, v.real, v.imag)
-                for lab, v in sorted(coeffs.items())]
+                for lab, v in coeffs.items()]
         _emit(csv_lines("alpha,beta,gamma,b,re_E,im_E", rows), output)
     _run(go)
 
@@ -493,29 +491,27 @@ def cmd_analyze(ctx, state_file, fmt, output):
                 "components": [[a, b, re, im] for a, b, re, im in cv.csv_rows()],
             })
 
-        table = cluster.cluster_sums(state)
-        report["cluster_sums"] = table.json_rows()
-        report["sum_rule_residual"] = table.sum_rule_residual
-
         try:
             purity = cluster.purity_factors(state)
+            table = purity.table
             report["purity"] = [
                 {"subset": [i + 1 for i in s], "p": r.p, "entropy_bits": r.entropy}
                 for s, r in sorted(purity.rows.items(), key=lambda kv: (len(kv[0]), kv[0]))
             ]
-        except InputError:
-            report["purity"] = None  # non-uniform dimensions
+        except InputError:  # non-uniform dimensions
+            table = cluster.cluster_sums(state)
+            report["purity"] = None
+        report["cluster_sums"] = table.json_rows()
+        report["sum_rule_residual"] = table.sum_rule_residual
 
         if all(d == 2 for d in state.dims):
             coeffs = collective.decompose_collective(state)
             report["collective"] = [
                 [lab.alpha, lab.beta, lab.gamma, lab.b, v.real, v.imag]
-                for lab, v in sorted(coeffs.items()) if abs(v) > 1e-12
+                for lab, v in coeffs.items() if abs(v) > 1e-12
             ]
-            weights = {}
-            for j, p in symmetry.spin_projectors(state.n_nodes).items():
-                weights[str(j)] = float(np.real(np.trace(p @ state.rho)))
-            report["symmetry_weights"] = weights
+            report["symmetry_weights"] = {str(j): float(np.vdot(p, state.rho).real)
+                                          for j, p in symmetry.spin_projectors(state.n_nodes).items()}
 
         if fmt == "json":
             _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", output)

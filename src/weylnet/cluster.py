@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, product_operator, weyl_factors, weyl_transform
+from .basis import WeylIndex, _node_dims, product_operator, weyl_factors, weyl_transform
 from .coherence import validate_state
 from .errors import CapExceeded, DimensionMismatch, InputError, VerificationFailure
 
@@ -121,12 +121,7 @@ class NetworkState:
     @staticmethod
     def _check_dims(dims, dim_cap) -> tuple[int, ...]:
         """Validated per-node dimensions as Python ints (no fixed-width overflow)."""
-        try:
-            dims = tuple(int(n) for n in dims)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"per-node dimensions must be integers: {exc}") from exc
-        if not dims or any(n < 2 for n in dims):
-            raise InputError(f"per-node dimensions must all be >= 2, got {dims}")
+        dims = _node_dims(dims)
         total = math.prod(dims)
         if total > dim_cap:
             raise CapExceeded(f"total dimension {total} exceeds cap {dim_cap}")
@@ -304,24 +299,23 @@ def cluster_sums(state: NetworkState) -> ClusterSumTable:
     the sum of Y over subsets of S; inverting on the subset lattice
     gives Y(S).
     """
-    n = state.n_nodes
-    z = np.empty(1 << n)
-    for mask in range(1 << n):
-        keep = [i for i in range(n) if mask >> i & 1]
-        scale = float(np.prod([state.dims[i] for i in keep])) if keep else 1.0
-        z[mask] = reduced_purity(state, keep) * scale
-    # in-place subset Moebius transform
-    y = z.copy()
-    for bit in range(n):
-        step = 1 << bit
-        for mask in range(1 << n):
-            if mask & step:
-                y[mask] -= y[mask ^ step]
-    table = ClusterSumTable(dims=state.dims, purity=float(z[(1 << n) - 1] / np.prod(state.dims)))
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        table.values[subset] = float(y[mask])
-    return table
+    return _moebius_table(state, [reduced_purity(state, s) for s in _subsets(state.n_nodes)])
+
+
+def _subsets(n: int) -> list[tuple[int, ...]]:
+    """All subsets of range(n), listed by bit mask."""
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+
+
+def _moebius_table(state: NetworkState, purities) -> ClusterSumTable:
+    """The cluster-sum table from tr{rho_S^2} of every subset S, listed by bit mask."""
+    subsets = _subsets(state.n_nodes)
+    y = np.array([p * math.prod(state.dims[i] for i in s) for p, s in zip(purities, subsets)])
+    purity = float(y[-1] / np.prod(state.dims))
+    for bit in range(state.n_nodes):  # in-place subset Moebius transform
+        pairs = y.reshape(-1, 2, 1 << bit)
+        pairs[:, 1] -= pairs[:, 0]
+    return ClusterSumTable(dims=state.dims, values=dict(zip(subsets, y.tolist())), purity=purity)
 
 
 def cluster_sum_direct(state: NetworkState, subset) -> float:
@@ -364,6 +358,7 @@ class PurityRow:
 class PurityReport:
     n: int
     rows: dict  # subset tuple -> PurityRow
+    table: ClusterSumTable  # the cluster sums the rows were cross-checked against
 
     def by_size(self, m: int) -> list[PurityRow]:
         return [r for s, r in sorted(self.rows.items()) if len(s) == m]
@@ -382,15 +377,22 @@ def purity_factors(state: NetworkState, cross_check_atol: float = 1e-9) -> Purit
     p = (n^m tr{rho_S^2} - 1)/(n^m - 1) is computed from the reduced
     state and, independently, from the cluster-sum route
     (sum of Y over non-empty subsets of S) / (n^m - 1); both must agree.
-    Requires uniform node dimension.
+    One walk over the subset lattice reduces each subset once and takes
+    its purity and entropy from that matrix; the cluster sums it builds
+    are returned as ``table``.  Requires uniform node dimension.
     """
     n = state.uniform_dim()
-    table = cluster_sums(state)
+    purity, entropy = {}, {}
+    for subset in _subsets(state.n_nodes):
+        side = _spectral_side(state, subset)
+        purity[subset] = float(np.sum(np.abs(side) ** 2))
+        entropy[subset] = entropy_bits(side)
+    table = _moebius_table(state, list(purity.values()))
     rows = {}
     for size in range(1, state.n_nodes + 1):
         for subset in itertools.combinations(range(state.n_nodes), size):
             denom = n ** size - 1
-            direct = (n ** size * reduced_purity(state, subset) - 1.0) / denom
+            direct = (n ** size * purity[subset] - 1.0) / denom
             from_sums = sum(
                 table.values[t]
                 for m in range(1, size + 1)
@@ -403,9 +405,9 @@ def purity_factors(state: NetworkState, cross_check_atol: float = 1e-9) -> Purit
                 subset=subset,
                 p=float(direct),
                 p_from_sums=float(from_sums),
-                entropy=reduced_entropy(state, subset),
+                entropy=entropy[subset],
             )
-    return PurityReport(n=n, rows=rows)
+    return PurityReport(n=n, rows=rows, table=table)
 
 
 # ---------------------------------------------------------------------------

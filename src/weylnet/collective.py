@@ -116,6 +116,9 @@ def placement_operator(strings, weights) -> np.ndarray:
     Each letter is a monomial single-node matrix, so the sum is one call
     of the product kernel :func:`weylnet.basis.product_operator`.
     """
+    lengths = sorted({len(s) for s in strings})
+    if len(lengths) > 1:
+        raise InputError(f"placement strings must have equal length, got lengths {lengths}")
     try:
         letters = np.array([[_LETTER_INDEX[ch] for ch in s] for s in strings])
     except KeyError as exc:
@@ -295,6 +298,8 @@ def decompose_collective(state, n_nodes: int | None = None) -> dict:
 
     The density operator reconstructs as (1/2^N) sum E_{abg,b} E_hat;
     permutation-symmetric states have all b != 0 coefficients zero.
+    Keys come in :class:`CollectiveLabel` order: groups by (alpha, beta,
+    gamma), b ascending within each group.
     """
     rho, nn = _as_rho(state, n_nodes)
     labels, x = _family_transform(rho, "E", nn)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -82,9 +83,9 @@ def _entries_text(op) -> tuple[int, str]:
 
 def operator_from_dict(data: dict) -> np.ndarray:
     try:
-        dim = int(data["dim"])
+        dim = operator.index(data["dim"])
         rows = data["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed operator object: {exc}") from exc
     if dim < 1:
         raise InputError(f"operator dimension must be positive, got {dim}")

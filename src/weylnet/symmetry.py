@@ -13,6 +13,7 @@ magnetic number of a product state is (number of 1s - number of 0s)/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,50 +67,47 @@ class SpinClass:
 
 
 def spin_basis(n_nodes: int) -> list[SpinClass]:
-    """Simultaneous (S^2, S_z) eigenbasis organized by symmetry class."""
+    """Simultaneous (S^2, S_z) eigenbasis organized by symmetry class.
+
+    Each class is built in the S_z block of its highest weight m = j,
+    where S^2 = N(4 - N)/4 + sum_{i<j} P_ij swaps bit pairs; S_- lowers
+    every copy at once as an index map, so no 2^N x 2^N operator is
+    formed (Bacon, Chuang & Harrow, PRL 97, 170502).
+    """
     if n_nodes < 1:
         raise InputError(f"spin basis needs N >= 1 nodes, got {n_nodes}")
     if n_nodes > 10:
         raise CapExceeded(f"spin basis supported for 1 <= N <= 10, got {n_nodes}")
     dim = 2 ** n_nodes
-    sx, sy, sz = collective_spin(n_nodes)
-    s2 = sx @ sx + sy @ sy + sz @ sz
-    s_minus = (sx - 1j * sy)
-
-    # computational indices grouped by magnetic number
-    by_m: dict = {}
-    for idx in range(dim):
-        ones = bin(idx).count("1")
-        m2 = 2 * ones - n_nodes  # 2m, integer
-        by_m.setdefault(m2, []).append(idx)
+    bits = 1 << np.arange(n_nodes)
+    ones = np.sum(np.arange(dim)[:, None] & bits > 0, axis=1)
+    blocks = [np.flatnonzero(ones == k) for k in range(n_nodes + 1)]  # 2m = 2k - N
+    rank = np.empty(dim, dtype=int)  # position of each string inside its block
+    for block in blocks:
+        rank[block] = np.arange(len(block))
 
     classes = []
-    jmax2 = n_nodes  # 2*jmax
-    for j2 in range(jmax2, -1, -2):
+    for j2 in range(n_nodes, -1, -2):
         j = j2 / 2
-        block = by_m[j2]
-        basis = np.zeros((dim, len(block)), dtype=complex)
-        for col, idx in enumerate(block):
-            basis[idx, col] = 1.0
-        s2_block = basis.conj().T @ s2 @ basis
-        vals, vecs = np.linalg.eigh(s2_block)
+        top = (n_nodes + j2) // 2  # ones at m = j
+        block = blocks[top]
+        s2 = np.diag(np.full(len(block), n_nodes * (4 - n_nodes) / 4))
+        for p, q in itertools.combinations(range(n_nodes), 2):
+            swap = ((block >> p ^ block >> q) & 1) * (1 << p | 1 << q)
+            s2[rank[block ^ swap], np.arange(len(block))] += 1.0
+        vals, vecs = np.linalg.eigh(s2)
         sel = np.abs(vals - j * (j + 1)) < 1e-8
-        mult = int(np.sum(sel))
-        if mult == 0:
-            continue
-        eigenspace = basis @ vecs[:, sel]  # dim x mult, orthonormal
-        highest = _deterministic_span(eigenspace)
-        copies = []
-        for r in range(mult):
-            chain = [highest[:, r]]
-            m = j
-            while m > -j:
-                lowered = s_minus @ chain[-1]
-                lowered /= math.sqrt(j * (j + 1) - m * (m - 1))
-                chain.append(lowered)
-                m -= 1
-            copies.append(np.stack(chain))
-        classes.append(SpinClass(j=j, multiplicity=mult, vectors=np.stack(copies)))
+        mult = int(np.sum(sel))  # >= 1: every j = N/2, N/2 - 1, ..., >= 0 occurs
+        chain = _deterministic_span(vecs[:, sel])  # block x mult, orthonormal
+        vectors = np.zeros((mult, j2 + 1, dim), dtype=complex)
+        vectors[:, 0, block] = chain.T
+        for k in range(1, j2 + 1):  # S_- from m = j - k + 1: sum the strings with one more 1
+            lower = blocks[top - k]
+            raised = lower[:, None] | bits
+            sources = rank[raised[raised != lower[:, None]].reshape(len(lower), -1)]
+            chain = chain[sources].sum(axis=1) / math.sqrt(j * (j + 1) - (j - k + 1) * (j - k))
+            vectors[:, k, lower] = chain.T
+        classes.append(SpinClass(j=j, multiplicity=mult, vectors=vectors))
     return classes
 
 

@@ -11,6 +11,8 @@ collective control pulse is the dense drive exponentiated by
 diagonalization, placements are deduplicated permutations, the clique
 search builds its full coloring as lists on every node, and the common
 eigenstate diagonalizes a random combination of dense group matrices.
+The spin basis takes S^2 and S_- as dense 2^N x 2^N products of the
+dense total spin, as the package did before it worked per S_z block.
 The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
 They are slow and exist only as test oracles.
@@ -43,6 +45,7 @@ from weylnet.collective import (
 from weylnet.commuting import _group_closure, complete_commuting_group
 from weylnet.errors import InputError
 from weylnet.protocols import hermitian_expm
+from weylnet.symmetry import SpinClass, _deterministic_span
 
 LETTERS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z, "P": SIGMA_PLUS, "M": SIGMA_MINUS}
 
@@ -130,6 +133,42 @@ def collective_spin(n_nodes):
             acc += kron_all(mats)
         out.append(acc)
     return tuple(out)
+
+
+def spin_basis(n_nodes):
+    """Spin classes from the dense S^2 and S_- = S_x - i S_y on all 2^N strings."""
+    dim = 2 ** n_nodes
+    sx, sy, sz = collective_spin(n_nodes)
+    s2 = sx @ sx + sy @ sy + sz @ sz
+    s_minus = sx - 1j * sy
+    by_m = {}
+    for idx in range(dim):
+        by_m.setdefault(2 * bin(idx).count("1") - n_nodes, []).append(idx)
+    classes = []
+    for j2 in range(n_nodes, -1, -2):
+        j = j2 / 2
+        block = by_m[j2]
+        basis = np.zeros((dim, len(block)), dtype=complex)
+        for col, idx in enumerate(block):
+            basis[idx, col] = 1.0
+        vals, vecs = np.linalg.eigh(basis.conj().T @ s2 @ basis)
+        sel = np.abs(vals - j * (j + 1)) < 1e-8
+        mult = int(np.sum(sel))
+        if mult == 0:
+            continue
+        highest = _deterministic_span(basis @ vecs[:, sel])
+        copies = []
+        for r in range(mult):
+            chain = [highest[:, r]]
+            m = j
+            while m > -j:
+                lowered = s_minus @ chain[-1]
+                lowered /= math.sqrt(j * (j + 1) - m * (m - 1))
+                chain.append(lowered)
+                m -= 1
+            copies.append(np.stack(chain))
+        classes.append(SpinClass(j=j, multiplicity=mult, vectors=np.stack(copies)))
+    return classes
 
 
 def network_zz_hamiltonian(n_nodes, couplings, frequencies=None):

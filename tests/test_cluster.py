@@ -279,6 +279,24 @@ class TestPurityFactors:
                 want = float(-np.sum(vals * np.log2(vals)))
                 assert abs(cluster.reduced_entropy(state, keep) - want) < 1e-10
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_one_walk_matches_separate_routes_bit_for_bit(self, n, n_nodes, pure, seed):
+        state = random_state((n,) * n_nodes, np.random.default_rng(seed), pure=pure)
+        report = cluster.purity_factors(state)
+        table = cluster.cluster_sums(state)
+
+        def bits(values):
+            return np.array(values, dtype=float).view(np.uint64).tolist()
+
+        assert list(report.table.values) == list(table.values)
+        assert bits(list(report.table.values.values())) == bits(list(table.values.values()))
+        assert bits(report.table.purity) == bits(table.purity)
+        for subset, row in report.rows.items():
+            size = len(subset)
+            p = (n ** size * cluster.reduced_purity(state, subset) - 1.0) / (n ** size - 1)
+            assert bits([row.p, row.entropy]) == bits([p, cluster.reduced_entropy(state, subset)])
+
 
 class TestProductStateTest:
     def test_product_state_no_witness(self):
@@ -316,6 +334,15 @@ class TestValidationAndCaps:
     def test_dim_cap(self):
         with pytest.raises(CapExceeded):
             NetworkState.from_rho(np.eye(2 ** 13) / 2 ** 13, (2,) * 13)
+
+    def test_numpy_integer_dims_accepted(self):
+        state = NetworkState.from_rho(np.eye(4) / 4, np.array([2, 2]))
+        assert state.dims == (2, 2) and all(type(n) is int for n in state.dims)
+
+    @pytest.mark.parametrize("dims", ["22", [2.7, 2], [2, 2.0]])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(InputError):
+            NetworkState.from_rho(np.eye(4) / 4, dims)
 
     def test_dims_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -101,6 +101,10 @@ class TestOperators:
         with pytest.raises(InputError, match="'Q'"):
             build()
 
+    def test_unequal_placement_lengths_rejected(self):
+        with pytest.raises(InputError, match=r"lengths \[1, 2\]"):
+            collective.placement_operator(["X", "XX"], [1, 1])
+
     def test_single_permutation_class(self):
         got = collective_operator(CollectiveLabel(2, 0, 0, 0), 2)
         assert np.max(np.abs(got - np.kron(SIGMA_X, SIGMA_X))) < 1e-14
@@ -146,6 +150,12 @@ class TestDecomposition:
         assert len(coeffs) == 4 ** n_nodes
         recon = reconstruct_collective(coeffs, n_nodes)
         assert np.max(np.abs(recon - rho)) < 1e-12
+
+    @pytest.mark.parametrize("n_nodes", range(1, 8))
+    def test_labels_come_in_label_order(self, n_nodes):
+        dim = 2 ** n_nodes
+        labels = list(decompose_collective(np.eye(dim) / dim, n_nodes))
+        assert labels == sorted(labels) == list(collective_labels(n_nodes))
 
     def test_symmetric_state_has_b0_only(self):
         v = np.zeros(4, dtype=complex)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import io, symmetry
+from weylnet import cluster, io, symmetry
 from weylnet.cat import cat_state
 from weylnet.cli import main
 from weylnet.cluster import NetworkState
@@ -275,6 +275,32 @@ class TestCliCommands:
         assert result.exit_code == 0
         rows = result.output.strip().split("\n")
         assert rows[-1].split(",")[5] == "heuristic"
+
+    @pytest.mark.parametrize("dims, key, value", [((2, 2), "dims", "22"),
+                                                  ((2, 2), "dims", [2.7, 2]),
+                                                  ((2, 2), "dims", [2, 2.0]),
+                                                  ((2,), "dim", 2.9)])
+    def test_non_integer_dimension_exits_2(self, runner, tmp_path, dims, key, value):
+        d = int(np.prod(dims))
+        data = json.loads(io.state_to_json(NetworkState.from_rho(np.eye(d) / d, dims)))
+        data[key] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 2, result.output
+
+    def test_analyze_reduces_each_subset_once(self, runner, tmp_path):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
+        rho = a @ a.conj().T
+        path = tmp_path / "q7.json"
+        path.write_text(io.state_to_json(NetworkState.from_rho(rho / np.trace(rho), (2,) * 7)))
+        with mock.patch.object(cluster, "partial_trace", wraps=cluster.partial_trace) as traced, \
+                mock.patch.object(cluster, "cluster_sums", wraps=cluster.cluster_sums) as summed:
+            result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 0, result.output
+        assert traced.call_count == 7 + 2 ** 7 - 1
+        assert summed.call_count == 0
 
     def test_analyze_ground_state_class_weight(self, runner, tmp_path):
         v = np.zeros(16, dtype=complex)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from weylnet import symmetry
 from weylnet.collective import collective_labels, collective_operator
 from weylnet.errors import CapExceeded, InputError
@@ -69,6 +70,21 @@ class TestSpinBasis:
     def test_six_nodes_parameter_count(self):
         _, param, _ = symmetry.parameter_count_identity(6)
         assert param == 84  # 7*8*9/6
+
+    @pytest.mark.parametrize("n_nodes", range(1, 11))
+    def test_matches_dense_oracle(self, n_nodes):
+        got, want = spin_basis(n_nodes), oracles.spin_basis(n_nodes)
+        assert [(c.j, c.multiplicity) for c in got] == [(c.j, c.multiplicity) for c in want]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g.vectors - w.vectors)) < 1e-12
+
+    def test_builds_no_dense_spin_operators(self, monkeypatch):
+        def refuse(n_nodes):
+            raise AssertionError("dense collective spin built")
+
+        monkeypatch.setattr(symmetry, "collective_spin", refuse)
+        classes = spin_basis(9)
+        assert sum(c.multiplicity * c.degeneracy for c in classes) == 2 ** 9
 
     def test_orthonormal_eigenvectors(self):
         sx, sy, sz = symmetry.collective_spin(3)
