@@ -135,24 +135,22 @@ class CatReport:
     top_ratio_limit: float
 
 
-def cat_verify(n: int, n_nodes: int, labels=None, dim_cap: int = DEFAULT_DIM_CAP) -> CatReport:
+def cat_verify(n: int, n_nodes: int) -> CatReport:
     """Verify orthonormality and the closed-form profile numerically.
 
-    ``labels`` defaults to the full basis when n^N <= 128 and a small
-    deterministic sample otherwise.  Cluster sums, purity factors and
-    proper-cluster entropies of each sampled member are compared to the
-    closed forms.
+    Checks the full basis when n^N <= 128 and a small deterministic
+    sample otherwise.  Cluster sums, purity factors and proper-cluster
+    entropies of each checked member are compared to the closed forms.
     """
     dim = n ** n_nodes
-    if dim > dim_cap:
-        raise CapExceeded(f"n^N = {dim} exceeds cap {dim_cap}")
-    if labels is None:
-        if dim <= 128:
-            labels = list(cat_labels(n, n_nodes))
-        else:
-            sample = [(0,) * n_nodes, (1,) * n_nodes, (1,) + (0,) * (n_nodes - 1),
-                      tuple(k % n for k in range(n_nodes))]
-            labels = sorted(set(sample))
+    if dim > DEFAULT_DIM_CAP:
+        raise CapExceeded(f"n^N = {dim} exceeds cap {DEFAULT_DIM_CAP}")
+    if dim <= 128:
+        labels = list(cat_labels(n, n_nodes))
+    else:
+        sample = [(0,) * n_nodes, (1,) * n_nodes, (1,) + (0,) * (n_nodes - 1),
+                  tuple(k % n for k in range(n_nodes))]
+        labels = sorted(set(sample))
     vectors = [cat_state(n, lab) for lab in labels]
 
     ortho_err = 0.0
@@ -164,7 +162,7 @@ def cat_verify(n: int, n_nodes: int, labels=None, dim_cap: int = DEFAULT_DIM_CAP
     profile = cat_profile(n, n_nodes)
     y_err = p_err = s_err = 0.0
     for lab, psi in zip(labels, vectors):
-        state = NetworkState.from_pure(psi, (n,) * n_nodes, dim_cap=dim_cap)
+        state = NetworkState.from_pure(psi, (n,) * n_nodes)
         report = purity_factors(state)
         for subset, y in report.table.values.items():
             if subset:
@@ -177,7 +175,7 @@ def cat_verify(n: int, n_nodes: int, labels=None, dim_cap: int = DEFAULT_DIM_CAP
     return CatReport(
         n=n,
         n_nodes=n_nodes,
-        checked_labels=list(labels),
+        checked_labels=labels,
         max_orthonormality_error=float(ortho_err),
         max_cluster_sum_error=float(y_err),
         max_purity_error=float(p_err),

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 bad input, 3 cap or budget refusal,
 4 internal verification failure.  All randomness flows through --seed
 (default 0) and outputs are byte-deterministic under a fixed seed and
-configuration.  A config file of key=value lines can pre-set any
-option; explicit flags win.
+configuration.  A config file of key=value lines can pre-set --seed,
+--n-max, --budget and --vertex-cap, and no other key; explicit flags win.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ def _run(fn):
         _fail(EXIT_VERIFY, str(exc))
 
 
+CONFIG_KEYS = ("seed", "n_max", "budget", "vertex_cap")
+
+
 def _read_config(path):
     opts = {}
     if path is None:
@@ -54,7 +57,10 @@ def _read_config(path):
             if "=" not in line:
                 raise InputError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
-            opts[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise InputError(f"unknown config key {key!r}; accepted: {', '.join(CONFIG_KEYS)}")
+            opts[key] = value.strip()
     return opts
 
 
@@ -88,7 +94,7 @@ def _emit(text: str, output):
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="key=value file with defaults for any option")
+              help="key=value file with defaults for --seed, --n-max, --budget, --vertex-cap")
 @click.option("--seed", type=int, default=None, help="random seed (default 0)")
 @click.pass_context
 def main(ctx, config_path, seed):

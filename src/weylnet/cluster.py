@@ -93,20 +93,19 @@ class NetworkState:
     dims: tuple[int, ...]
     _rho: np.ndarray | None = None
     _psi: np.ndarray | None = None
-    dim_cap: int = DEFAULT_DIM_CAP
 
     @classmethod
-    def from_rho(cls, rho, dims, dim_cap: int = DEFAULT_DIM_CAP) -> "NetworkState":
-        dims = cls._check_dims(dims, dim_cap)
+    def from_rho(cls, rho, dims) -> "NetworkState":
+        dims = cls._check_dims(dims)
         m = validate_state(rho)
         if m.shape[0] != math.prod(dims):
             raise DimensionMismatch(
                 f"state dimension {m.shape[0]} != prod(dims) = {math.prod(dims)}")
-        return cls(dims=dims, _rho=m, dim_cap=dim_cap)
+        return cls(dims=dims, _rho=m)
 
     @classmethod
-    def from_pure(cls, psi, dims, dim_cap: int = DEFAULT_DIM_CAP) -> "NetworkState":
-        dims = cls._check_dims(dims, dim_cap)
+    def from_pure(cls, psi, dims) -> "NetworkState":
+        dims = cls._check_dims(dims)
         v = np.asarray(psi, dtype=complex).ravel()
         if v.shape[0] != math.prod(dims):
             raise DimensionMismatch(
@@ -116,15 +115,15 @@ class NetworkState:
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-10:
             raise InputError(f"state vector norm {norm:.6g} != 1")
-        return cls(dims=dims, _psi=v, dim_cap=dim_cap)
+        return cls(dims=dims, _psi=v)
 
     @staticmethod
-    def _check_dims(dims, dim_cap) -> tuple[int, ...]:
+    def _check_dims(dims) -> tuple[int, ...]:
         """Validated per-node dimensions as Python ints (no fixed-width overflow)."""
         dims = _node_dims(dims)
         total = math.prod(dims)
-        if total > dim_cap:
-            raise CapExceeded(f"total dimension {total} exceeds cap {dim_cap}")
+        if total > DEFAULT_DIM_CAP:
+            raise CapExceeded(f"total dimension {total} exceeds cap {DEFAULT_DIM_CAP}")
         return dims
 
     @property
@@ -371,7 +370,7 @@ class PurityReport:
         return "\n".join(lines) + "\n"
 
 
-def purity_factors(state: NetworkState, cross_check_atol: float = 1e-9) -> PurityReport:
+def purity_factors(state: NetworkState) -> PurityReport:
     """Normalized purity factor and entropy of every non-empty cluster.
 
     p = (n^m tr{rho_S^2} - 1)/(n^m - 1) is computed from the reduced
@@ -398,7 +397,7 @@ def purity_factors(state: NetworkState, cross_check_atol: float = 1e-9) -> Purit
                 for m in range(1, size + 1)
                 for t in itertools.combinations(subset, m)
             ) / denom
-            if abs(direct - from_sums) > cross_check_atol:
+            if abs(direct - from_sums) > 1e-9:
                 raise VerificationFailure(
                     f"purity routes disagree on {subset}: {direct} vs {from_sums}")
             rows[subset] = PurityRow(

@@ -135,16 +135,14 @@ def generator_matrix(h) -> np.ndarray:
     return omega[1:, 1:]
 
 
-def evolve_coherence(omega: np.ndarray, u0: np.ndarray, t: float,
-                     max_step: float = 0.002) -> np.ndarray:
+def evolve_coherence(omega: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     """Integrate du/dt = Omega u with classical fixed-step RK4.
 
-    The step is at most ``max_step`` (in units of 1/||Omega||, i.e. the
-    step actually used is max_step / max(1, ||Omega||_2)); the default
-    keeps the global error safely below 1e-8 for t*||H|| <= 10.
+    The step is at most 0.002 / max(1, ||Omega||_2), which keeps the
+    global error safely below 1e-8 for t*||H|| <= 10.
     """
     scale = max(1.0, float(np.linalg.norm(omega, 2)))
-    nsteps = max(1, int(np.ceil(abs(t) * scale / max_step)))
+    nsteps = max(1, int(np.ceil(abs(t) * scale / 0.002)))
     h = t / nsteps
     u = np.asarray(u0, dtype=complex).copy()
     for _ in range(nsteps):

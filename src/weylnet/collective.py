@@ -523,10 +523,10 @@ class DriftReport:
     def worst(self) -> float:
         return max(self.max_drift.values())
 
-    def failed(self, rtol: float = 1e-8) -> list[str]:
+    def failed(self) -> list[str]:
         return [
             name for name, drift in self.max_drift.items()
-            if drift > rtol * (1.0 + abs(self.values_at_zero[name]))
+            if drift > 1e-8 * (1.0 + abs(self.values_at_zero[name]))
         ]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import apply_products, weyl_factors
-from .cluster import ProductLabel, cluster_operator, label_from_entries
+from .cluster import DEFAULT_DIM_CAP, ProductLabel, cluster_operator, label_from_entries
 from .errors import CapExceeded, InputError
 
 #: refuse to build commutation graphs beyond this many vertices
@@ -389,63 +389,63 @@ def _vector_to_label(vec, dims) -> ProductLabel:
     return label_from_entries(entries, dims)
 
 
-def _group_closure(generators, n: int) -> set:
-    gens = list(set(generators))
-    if not gens:
-        return set()
-    zero = tuple([0] * len(gens[0]))
-    group = {zero}
-    queue = [zero]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = tuple((a + b) % n for a, b in zip(x, g))
-            if y not in group:
-                group.add(y)
-                queue.append(y)
-    return group
-
-
-def complete_commuting_group(
-    members, n: int, n_nodes: int, scan_cap: int = 200_000
-) -> list[tuple[int, ...]]:
+def complete_commuting_group(members, n: int, n_nodes: int) -> np.ndarray:
     """Extend a commuting family to a maximal commuting index group.
 
     Takes the additive closure of the members' index vectors in
     Z_n^(2N) (closed under the symplectic form by bilinearity), then
     greedily adjoins lexicographically smallest commuting vectors until
-    the group reaches order n^N or no candidate remains.  The achieved
-    size is reported by the caller, never assumed.
+    the group reaches order n^N or no candidate remains.  Returns the
+    group's vectors as rows in lexicographic order; the achieved size is
+    reported by the caller, never assumed.  n^N is capped at
+    ``cluster.DEFAULT_DIM_CAP``.
     """
-    return sorted(_complete_group(members, n, n_nodes, scan_cap)[0])
+    return _complete_group(members, n, n_nodes)[0]
 
 
-def _complete_group(members, n: int, n_nodes: int, scan_cap: int = 200_000):
-    """(group, generators): the completed group and the members' vectors plus those adjoined."""
-    space = n ** (2 * n_nodes)
-    if space > scan_cap:
-        raise CapExceeded(f"completion scan over {space} vectors exceeds cap {scan_cap}")
-    vecs = [_label_to_vector(m) for m in members]
-    group = _group_closure(set(vecs), n) if vecs else {tuple([0] * (2 * n_nodes))}
-    generators = list(vecs)
+def _complete_group(members, n: int, n_nodes: int):
+    """(group, generators): the group's sorted rows and the members' vectors plus those adjoined.
+
+    The group is the sorted array of its vectors' lexicographic ranks.
+    Adjoining g adds j g, for every j below g's additive order, to every
+    element and keeps the distinct ranks.
+    """
     target = n ** n_nodes
+    if target > DEFAULT_DIM_CAP:
+        raise CapExceeded(f"group order n^N = {target} exceeds cap {DEFAULT_DIM_CAP}")
+    width = 2 * n_nodes
+    place = n ** np.arange(width - 1, -1, -1)  # a vector's rank is its dot product with place
+    group = np.zeros(1, dtype=np.int64)
+
+    def adjoin(g):
+        nonlocal group
+        steps = np.multiply.outer(np.arange(n // math.gcd(n, *g)), g)
+        group = np.unique((group[:, None] // place % n + steps[:, None]) % n @ place)
+
+    generators = [_label_to_vector(m) for m in members]
+    for i, g in enumerate(generators):
+        if np.dot(g, place) in group:
+            continue  # the group's operators commute with each other, g among them
+        if i and np.any(symplectic_form([g], generators[:i], n)):
+            raise InputError("completion needs pairwise commuting members")
+        adjoin(g)
     start = 0
-    while len(group) < target and start < space:
+    while len(group) < target and start < n ** width:
         # the next block of vectors in lexicographic order; ok marks those commuting with every generator
-        block = np.arange(start, min(start + 4096, space))
-        cands = np.stack(np.unravel_index(block, (n,) * (2 * n_nodes)), axis=1)
-        start += len(cands)
-        ok = ~np.any(symplectic_form(cands, np.reshape(generators, (-1, 2 * n_nodes)), n), axis=1)
+        ranks = np.arange(start, min(start + 4096, n ** width))
+        cands = ranks[:, None] // place % n
+        start += len(ranks)
+        ok = ~np.any(symplectic_form(cands, np.reshape(generators, (-1, width)), n), axis=1)
         for i in np.flatnonzero(ok):
-            cand = tuple(cands[i].tolist())
-            if not ok[i] or cand in group:
+            if not ok[i] or ranks[i] in group:
                 continue
+            cand = tuple(cands[i].tolist())
             generators.append(cand)
-            group = _group_closure(set(generators), n)
+            adjoin(cand)
             if len(group) >= target:
                 break
             ok &= symplectic_form(cands, [cand], n)[:, 0] == 0
-    return group, generators
+    return group[:, None] // place % n, generators
 
 
 def _eigen_component(g: tuple[int, ...], psi: np.ndarray, n: int, n_nodes: int) -> np.ndarray:
@@ -499,17 +499,15 @@ def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     n, n_nodes = cset.n, cset.n_nodes
     dims = (n,) * n_nodes
     group, generators = _complete_group(cset.members, n, n_nodes)
-    group_vecs = sorted(group)
     dim = n ** n_nodes
     psi = np.zeros(dim, dtype=complex)
     psi[seed % dim] = 1.0
     for g in generators:
         psi = _eigen_component(g, psi, n, n_nodes)
-    vecs = np.array(group_vecs)
-    images = apply_products(weyl_factors(vecs[:, 0::2], vecs[:, 1::2], dims), psi)
+    images = apply_products(weyl_factors(group[:, 0::2], group[:, 1::2], dims), psi)
     expectations = images @ psi.conj()
     residual = float(np.max(np.linalg.norm(images - expectations[:, None] * psi, axis=1)))
-    group_labels = [_vector_to_label(v, dims) for v in group_vecs]
+    group_labels = [_vector_to_label(v, dims) for v in group.tolist()]
     pure = sum(1 for lab in group_labels if lab.is_pure_cluster)
     return CommonEigenstate(
         vector=psi,

@@ -24,7 +24,7 @@ import operator
 
 import numpy as np
 
-from .cluster import DEFAULT_DIM_CAP, NetworkState
+from .cluster import NetworkState
 from .errors import InputError
 
 
@@ -87,8 +87,8 @@ def operator_from_dict(data: dict) -> np.ndarray:
         rows = data["entries"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed operator object: {exc}") from exc
-    if dim < 1:
-        raise InputError(f"operator dimension must be positive, got {dim}")
+    if dim < 1 or type(data["dim"]) is bool:
+        raise InputError(f"operator dimension must be a positive integer, got {data['dim']!r}")
     if not isinstance(rows, list) or len(rows) != dim or any(
             not isinstance(r, list) or len(r) != dim for r in rows):
         raise InputError(f"entries are not a {dim}x{dim} grid")
@@ -119,11 +119,11 @@ def operator_from_json(text: str) -> np.ndarray:
     return operator_from_dict(_loads_object(text))
 
 
-def state_from_dict(data: dict, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
+def state_from_dict(data: dict) -> NetworkState:
     if "dims" not in data:
         raise InputError('state object must carry "dims"')
     rho = operator_from_dict(data)
-    return NetworkState.from_rho(rho, data["dims"], dim_cap=dim_cap)
+    return NetworkState.from_rho(rho, data["dims"])
 
 
 def state_to_json(state: NetworkState) -> str:
@@ -132,8 +132,8 @@ def state_to_json(state: NetworkState) -> str:
         dim, entries, json.dumps([int(n) for n in state.dims]))
 
 
-def state_from_json(text: str, dim_cap: int = DEFAULT_DIM_CAP) -> NetworkState:
-    return state_from_dict(_loads_object(text), dim_cap=dim_cap)
+def state_from_json(text: str) -> NetworkState:
+    return state_from_dict(_loads_object(text))
 
 
 def schedule_from_dicts(data) -> "PulseSchedule":

@@ -113,7 +113,7 @@ def _segment_unitaries(segments):
     A unitary is kept only until the last segment that uses it, so a
     schedule of all-distinct Hamiltonians holds one at a time.  The
     exponential of equal inputs is bit-equal, so sharing changes no
-    result; an echo's 2 n cycles segments hold two operator objects.
+    result; an echo's 2 n cycles segments are one pair of segment objects repeated.
     """
     keys = [(id(s.operator), float(s.duration).hex()) if s.kind == "hamiltonian" else None
             for s in segments]  # hex keeps -0.0 apart
@@ -175,9 +175,10 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     """Evolution-suppressing schedule (C U_H(dt/n))^n, repeated ``cycles`` times.
 
     Requires a traceless Hamiltonian; a violating input is rejected with
-    the trace shift that would fix it.  The per-period pulse cost is
-    n(n-1) state-selective two-level pulses (n applications of the
-    (n-1)-pulse cyclic permutation).
+    the trace shift that would fix it.  The schedule repeats one
+    Hamiltonian segment and one gate segment.  The per-period pulse
+    cost is n(n-1) state-selective two-level pulses (n applications of
+    the (n-1)-pulse cyclic permutation).
     """
     if cycles < 1:
         raise InputError(f"echo needs at least one cycle, got {cycles}")
@@ -189,12 +190,8 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     if abs(tr) > TRACE_ATOL * max(1.0, float(np.linalg.norm(h, 2))):
         raise InputError(
             f"echo requires a traceless Hamiltonian; shift by {-tr / n:.6g} * identity first")
-    perm = cyclic_permutation(h)
-    segments = []
-    for _ in range(cycles * n):
-        segments.append(Segment("hamiltonian", h, dt / n))
-        segments.append(Segment("gate", perm, 0.0))
-    schedule = PulseSchedule(segments)
+    pair = [Segment("hamiltonian", h, dt / n), Segment("gate", cyclic_permutation(h), 0.0)]
+    schedule = PulseSchedule(pair * (cycles * n))
     u_period = np.eye(n, dtype=complex)
     for step in _segment_unitaries(schedule.segments[: 2 * n]):
         u_period = step @ u_period

@@ -42,7 +42,6 @@ from weylnet.collective import (
     multiplicity,
     placements,
 )
-from weylnet.commuting import _group_closure, complete_commuting_group
 from weylnet.errors import InputError
 from weylnet.protocols import hermitian_expm
 from weylnet.symmetry import SpinClass, _deterministic_span
@@ -353,7 +352,7 @@ def common_eigenstate(cset, seed=0, max_tries=25):
     """
     dims = (cset.n,) * cset.n_nodes
     mats = [product_unitary(list(zip(v[0::2], v[1::2])), dims)
-            for v in complete_commuting_group(cset.members, cset.n, cset.n_nodes) if any(v)]
+            for v in sorted(complete_group(cset.members, cset.n, cset.n_nodes)[0]) if any(v)]
     dim = math.prod(dims)
     rng = np.random.default_rng(seed)
     best = None
@@ -391,6 +390,24 @@ def symplectic(v, w, n):
     for i in range(0, len(v), 2):
         total += v[i] * w[i + 1] - v[i + 1] * w[i]
     return total % n
+
+
+def _group_closure(generators, n):
+    """The additive closure of index vectors in Z_n^(2N), by breadth-first search over tuples."""
+    gens = list(set(generators))
+    if not gens:
+        return set()
+    zero = tuple([0] * len(gens[0]))
+    group = {zero}
+    queue = [zero]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = tuple((a + b) % n for a, b in zip(x, g))
+            if y not in group:
+                group.add(y)
+                queue.append(y)
+    return group
 
 
 def complete_group(members, n, n_nodes):

@@ -207,6 +207,27 @@ class TestCompletionAndEigenstates:
             top = cluster.cluster_sums(st).values[tuple(range(n_nodes))]
             assert abs(top - cs.size) < 1e-8
 
+    @pytest.mark.parametrize("n,n_nodes", [(2, 9), (3, 6), (4, 5), (5, 4)])
+    def test_method_b_completes_beyond_small_networks(self, n, n_nodes):
+        # Z_n^(2N) holds 2.6e5 to 1.7e7 vectors here; the members' closure completes the group
+        cs = commuting.construct_method_b(n, n_nodes)
+        eig = commuting.common_eigenstate(cs)
+        assert eig.complete and eig.max_residual <= 1e-12
+        assert eig.pure_cluster_count == cs.size
+
+    def test_group_order_capped_before_completion(self):
+        with mock.patch.object(np, "unique", side_effect=AssertionError), \
+                mock.patch.object(commuting, "symplectic_form", side_effect=AssertionError):
+            with pytest.raises(CapExceeded, match="6561"):
+                commuting.complete_commuting_group([], 3, 8)
+            with pytest.raises(CapExceeded, match="8192"):
+                commuting.common_eigenstate(commuting.construct_method_a(2, 13))
+
+    def test_non_commuting_members_rejected(self):
+        members = [label_from_entries(e, (2, 2)) for e in [[(1, 0), (0, 0)], [(0, 1), (0, 0)]]]
+        with pytest.raises(InputError):
+            commuting.complete_commuting_group(members, 2, 2)
+
     def test_eigenvalues_unit_modulus(self):
         cs = make_set(SIX_SETS_N2[1], 2)
         eig = commuting.common_eigenstate(cs)

@@ -145,6 +145,14 @@ class TestCliCommands:
         result = runner.invoke(main, ["echo", "--hamiltonian", str(path), "--dt", "1.7"])
         assert result.exit_code == 0
 
+    def test_echo_boolean_dimension_exits_2(self, runner, tmp_path):
+        # operator.index(True) == 1, so a boolean must be refused by type
+        path = tmp_path / "h.json"
+        path.write_text('{"dim": true, "entries": [[{"re": 0, "im": 0}]]}')
+        result = runner.invoke(main, ["echo", "--hamiltonian", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "True" in result.output
+
     def test_echo_rejects_traceful(self, runner, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(io.operator_to_json(np.diag([1.0, 0.0])))
@@ -464,6 +472,16 @@ class TestCliCommands:
         assert result.exit_code in (0, 2), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("line", ["dt=abc", "budjet=5"])
+    def test_unknown_config_key_exits_2(self, runner, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, ["--config", str(cfg), "echo", "--dim", "3"])
+        assert result.exit_code == 2, result.output
+        key = line.split("=")[0]
+        assert f"unknown config key {key!r}" in result.output
+        assert "seed, n_max, budget, vertex_cap" in result.output
 
     def test_flags_beat_config(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"

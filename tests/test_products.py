@@ -190,18 +190,33 @@ class TestSymplecticForm:
         assert commute.shape == (4096, 4096)
         assert peak < 4 * commute.nbytes
 
-    @pytest.mark.parametrize("n, n_nodes", [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
+    def test_completion_scan_memory(self):
+        # one member, so the scan adjoins nine vectors; all of Z_2^20 as int64 would be 8.4 MB
+        members = commuting.construct_method_a(2, 10).members
+        tracemalloc.start()
+        try:
+            group, generators = commuting._complete_group(members, 2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(group) == 2 ** 10 and len(generators) == 10
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("n, n_nodes", [
+        (2, 2), (2, 3), (3, 2), (4, 2), (3, 3), (2, 8), (3, 4), (4, 3)])
     def test_completion_matches_scan(self, n, n_nodes):
-        # subsets of commuting sets, so the scan has vectors to adjoin
+        # subsets of commuting sets, so the scan has vectors to adjoin, and
+        # the full sets, whose closure alone completes the group
         rng = np.random.default_rng(n * 10 + n_nodes)
         sets = [commuting.construct_method_a(n, n_nodes), commuting.construct_method_b(n, n_nodes)]
         for cset in sets:
-            for size in (0, 1, 2):
+            for size in (0, 1, 2, cset.size):
                 pick = rng.permutation(cset.size)[:size]
                 members = [cset.members[i] for i in sorted(pick)]
                 group, generators = commuting._complete_group(members, n, n_nodes)
                 want_group, want_generators = oracles.complete_group(members, n, n_nodes)
-                assert group == want_group and generators == want_generators
+                assert list(map(tuple, group.tolist())) == sorted(want_group)
+                assert generators == want_generators
 
 
 class TestIndexArithmetic:

@@ -189,6 +189,11 @@ class TestEcho:
         assert kinds == ["hamiltonian", "gate"] * 4
         assert abs(sched.total_time - 2.0) < 1e-12
 
+    def test_schedule_repeats_one_segment_pair(self):
+        sched, _ = echo_schedule(np.diag([1.0, 0.0, -1.0]), 1.0, cycles=4)
+        assert len(sched.segments) == 24
+        assert len({id(s) for s in sched.segments}) == 2
+
 
 class TestPiPulses:
     def test_three_level_factors(self):
