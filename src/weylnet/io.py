@@ -24,7 +24,6 @@ import operator
 
 import numpy as np
 
-from .cluster import NetworkState
 from .errors import InputError
 
 
@@ -119,20 +118,22 @@ def operator_from_json(text: str) -> np.ndarray:
     return operator_from_dict(_loads_object(text))
 
 
-def state_from_dict(data: dict) -> NetworkState:
+def state_from_dict(data: dict) -> "NetworkState":
+    from .cluster import NetworkState
+
     if "dims" not in data:
         raise InputError('state object must carry "dims"')
     rho = operator_from_dict(data)
     return NetworkState.from_rho(rho, data["dims"])
 
 
-def state_to_json(state: NetworkState) -> str:
+def state_to_json(state: "NetworkState") -> str:
     dim, entries = _entries_text(state.rho)
     return '{"dim": %d, "entries": %s, "dims": %s}' % (
         dim, entries, json.dumps([int(n) for n in state.dims]))
 
 
-def state_from_json(text: str) -> NetworkState:
+def state_from_json(text: str) -> "NetworkState":
     return state_from_dict(_loads_object(text))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import WeylIndex, weyl_matrix
-from .collective import _per_node, placement_operator
 from .errors import CapExceeded, DimensionMismatch, InputError
 
 #: spectral trace tolerance for echo Hamiltonians
@@ -255,7 +254,9 @@ def gray_sequence(n_bits: int) -> GraySequence:
     Each member of the previous sequence is repeated and extended on the
     right by 0,1 for even positions and 1,0 for odd positions.
     """
-    if not 1 <= n_bits <= 20:
+    if n_bits < 1:
+        raise InputError(f"gray sequences need N >= 1, got {n_bits}")
+    if n_bits > 20:
         raise CapExceeded("gray sequences supported for 1 <= N <= 20")
     codes = np.array([0, 1], dtype=np.uint64)
     for _ in range(n_bits - 1):
@@ -300,6 +301,8 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
     dense operator and no diagonalization.  ``psi0`` is a state of
     length 2^N or a stack of them as columns.
     """
+    from .collective import _per_node
+
     check_collective_drive(m, n_nodes)
     dim = 2 ** n_nodes
     psi = np.asarray(psi0, dtype=complex)
@@ -397,6 +400,8 @@ def network_zz_hamiltonian(n_nodes: int, couplings, frequencies=None) -> np.ndar
     ``couplings`` maps node pairs (mu, nu) to strengths; missing pairs
     couple with 0.
     """
+    from .collective import placement_operator
+
     terms = list(dict(couplings).items())  # ((mu, nu), c), then ((mu,), w/2)
     for (mu, nu), _ in terms:
         if not (0 <= mu < nu < n_nodes):

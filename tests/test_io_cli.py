@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -310,6 +313,15 @@ class TestCliCommands:
         assert traced.call_count == 7 + 2 ** 7 - 1
         assert summed.call_count == 0
 
+    def test_analyze_purity_input_error_exits_2(self, runner, bell_file):
+        def refuse(state):
+            raise InputError("refused here")
+
+        with mock.patch.object(cluster, "purity_factors", refuse):
+            result = runner.invoke(main, ["analyze", bell_file])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: refused here\n"
+
     def test_analyze_ground_state_class_weight(self, runner, tmp_path):
         v = np.zeros(16, dtype=complex)
         v[0] = 1.0
@@ -488,3 +500,83 @@ class TestCliCommands:
         cfg.write_text("n_max=2\n")
         result = runner.invoke(main, ["--config", str(cfg), "table-csum", "--n", "2", "--n-max", "3"])
         assert len(result.output.strip().split("\n")) == 4
+
+    # {dir} is a directory, {missing} a path under a missing directory, {bin} a non-UTF-8 file
+    BAD_ARGS = [
+        (["analyze", "{dir}"], "{dir}"),
+        (["collective-decompose", "{dir}"], "{dir}"),
+        (["echo", "--hamiltonian", "{dir}"], "{dir}"),
+        (["echo", "--schedule", "{dir}"], "{dir}"),
+        (["--config", "{dir}", "gray", "--nodes", "2"], "{dir}"),
+        (["gray", "--nodes", "3", "--output", "{missing}"], "{missing}"),
+        (["echo", "--dim", "3", "--schedule-out", "{missing}"], "{missing}"),
+        (["echo", "--dim", "3", "--trajectory-out", "{missing}"], "{missing}"),
+        (["analyze", "{bin}"], "{bin}: not UTF-8 text"),
+        (["collective-decompose", "{bin}"], "{bin}: not UTF-8 text"),
+        (["echo", "--hamiltonian", "{bin}"], "{bin}: not UTF-8 text"),
+        (["echo", "--schedule", "{bin}"], "{bin}: not UTF-8 text"),
+        (["--config", "{bin}", "gray", "--nodes", "2"], "{bin}: not UTF-8 text"),
+        (["echo", "--dim", "0"], "dimension must be >= 2, got 0"),
+        (["echo", "--dim", "-1"], "dimension must be >= 2, got -1"),
+        (["gray", "--nodes", "0"], "gray sequences need N >= 1, got 0"),
+        (["gray", "--nodes", "-3"], "gray sequences need N >= 1, got -3"),
+    ]
+
+    @pytest.mark.parametrize("args, message", BAD_ARGS, ids=[" ".join(a) for a, _ in BAD_ARGS])
+    def test_bad_path_dim_or_nodes_exits_2(self, runner, tmp_path, args, message):
+        binary = tmp_path / "bin.dat"
+        binary.write_bytes(b"\xff\xfe\x00 not text \x80")
+        paths = {"dir": str(tmp_path), "missing": str(tmp_path / "missing" / "out"),
+                 "bin": str(binary)}
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = result.output.splitlines()
+        assert lines[-1].startswith("error: ") and message.format(**paths) in lines[-1]
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# runs ``weylnet ARGS`` in-process, then prints the weylnet modules it loaded
+FOOTPRINT = """
+import sys
+from weylnet.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:], standalone_mode=False)
+print(" ".join(m for m in sys.modules if m.startswith("weylnet")), file=sys.stderr)
+"""
+
+
+def loaded_modules(args) -> set:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
+class TestFreshInterpreter:
+    def test_cli_import_loads_only_its_front_door(self):
+        assert loaded_modules([]) == {"weylnet", "weylnet.cli", "weylnet.io", "weylnet.errors"}
+
+    @pytest.mark.parametrize("args, absent", [
+        (["gray", "--nodes", "3"], ["cluster", "collective", "commuting", "symmetry", "cat"]),
+        (["fig-purity"], ["collective", "commuting", "protocols", "symmetry"]),
+    ], ids=["gray", "fig-purity"])
+    def test_command_loads_only_what_it_runs(self, args, absent):
+        loaded = loaded_modules(args)
+        assert "weylnet.cli" in loaded
+        assert loaded.isdisjoint(f"weylnet.{name}" for name in absent), sorted(loaded)
+
+    def test_closed_stdout_keeps_clicks_silent_exit(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "weylnet.cli", "gray", "--nodes", "12"],
+                                    stdout=write, stderr=subprocess.PIPE,
+                                    env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        finally:
+            os.close(write)
+        assert result.returncode == 1
+        assert result.stderr == b""

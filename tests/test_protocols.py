@@ -241,6 +241,11 @@ class TestGray:
         with pytest.raises(CapExceeded):
             gray_sequence(21)
 
+    @pytest.mark.parametrize("n_bits", [0, -3])
+    def test_nonpositive_length_is_bad_input(self, n_bits):
+        with pytest.raises(InputError):
+            gray_sequence(n_bits)
+
 
 class TestCollectiveControl:
     def test_zero_area_is_identity(self):
