@@ -58,10 +58,6 @@ class WeylIndex:
             raise InputError(f"indices ({self.a},{self.b}) out of range for n={self.n}")
 
     @property
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
     def single_index(self) -> int:
         """Collapsed index i = n*a + b (identity maps to 0)."""
         return self.n * self.a + self.b
@@ -269,11 +265,6 @@ def weyl_eigenvalues(idx: WeylIndex) -> np.ndarray:
     return vals[order]
 
 
-def weyl_det_eigs(idx: WeylIndex) -> tuple[int, np.ndarray]:
-    """Closed-form determinant together with the sorted eigenvalues."""
-    return weyl_det(idx), weyl_eigenvalues(idx)
-
-
 def eigenvalue_power_target(idx: WeylIndex) -> complex:
     """The common value of lambda^n over the spectrum of U_ab."""
     return root_of_unity(idx.n, idx.a * idx.b * (idx.n * (idx.n - 1) // 2))
@@ -476,7 +467,10 @@ def expand(op, basis: str) -> dict:
 
 
 def assemble(n: int, basis: str, coeffs: dict) -> np.ndarray:
-    """Rebuild the dense operator from a coefficient map (inverse of expand)."""
+    """Rebuild the dense operator from a coefficient map (inverse of expand).
+
+    A key outside the basis raises InputError.
+    """
     m = np.zeros((n, n), dtype=complex)
     if basis == "weyl":
         for (a, b), c in coeffs.items():
@@ -485,19 +479,18 @@ def assemble(n: int, basis: str, coeffs: dict) -> np.ndarray:
         return inverse_weyl_transform(m, (n,))
     if basis == "transition":
         for (i, j), c in coeffs.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"transition indices ({i},{j}) out of range for n={n}")
             m[i, j] += c
         return m
     if basis == "sun":
         by_label = {g.label: g for g in sun_basis(n)}
         for label, c in coeffs.items():
+            if label not in by_label:
+                raise InputError(f"{label!r} is not an su({n}) generator label")
             m += c * by_label[label].matrix()
         return m / n
     raise InputError(f"unknown basis {basis!r}; expected one of {BASES}")
-
-
-def convert_basis(op, to: str, n: int | None = None) -> dict:
-    """Expand a dense operator in the target basis; see :func:`expand`."""
-    return expand(as_operator(op, n), to)
 
 
 def convert_coefficients(coeffs: dict, n: int, frm: str, to: str) -> dict:

@@ -100,12 +100,6 @@ class CatProfile:
         """Y_N / n^N, which approaches (n-1)/n for large networks."""
         return self.y(self.n_nodes) / self.n ** self.n_nodes
 
-    def csv(self) -> str:
-        lines = ["m,Y_m,p_m"]
-        for m in range(1, self.n_nodes + 1):
-            lines.append(f"{m},{self.y(m)!r},{self.p(m)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def cat_profile(n: int, n_nodes: int) -> CatProfile:
     if n < 2 or n_nodes < 2:

@@ -170,9 +170,17 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return m.reshape(d, d)
 
 
+def _nodes(keep, n_nodes: int) -> tuple[int, ...]:
+    """``keep`` as a sorted tuple of distinct nodes in range(n_nodes); else InputError."""
+    keep = tuple(sorted(keep))
+    if len(set(keep)) < len(keep) or keep and not (0 <= keep[0] and keep[-1] < n_nodes):
+        raise InputError(f"nodes {keep} must be distinct and in range for {n_nodes} nodes")
+    return keep
+
+
 def reduced_state(state: NetworkState, keep) -> np.ndarray:
     """Reduced density matrix of a network state (pure fast path included)."""
-    keep = tuple(sorted(keep))
+    keep = _nodes(keep, state.n_nodes)
     if not keep:
         return np.array([[1.0 + 0j]])
     if state.is_pure_vector:
@@ -195,7 +203,7 @@ def _spectral_side(state: NetworkState, keep) -> np.ndarray:
     the Schmidt matrix (complementary reductions share their nonzero
     spectrum); otherwise the reduced state itself.
     """
-    keep = tuple(sorted(keep))
+    keep = _nodes(keep, state.n_nodes)
     if not keep:
         return np.array([[1.0 + 0j]])
     if state.is_pure_vector:
@@ -279,13 +287,6 @@ class ClusterSumTable:
     def sum_rule_residual(self) -> float:
         return abs(self.total - self.sum_rule_target)
 
-    def by_size(self) -> dict:
-        """Subset size -> list of (subset, Y)."""
-        out: dict = {}
-        for subset, y in self.values.items():
-            out.setdefault(len(subset), []).append((subset, y))
-        return out
-
     def json_rows(self) -> list[dict]:
         return [{"subset": [i + 1 for i in s], "Y": y}
                 for s, y in sorted(self.values.items(), key=lambda kv: (len(kv[0]), kv[0]))]
@@ -324,9 +325,7 @@ def cluster_sum_direct(state: NetworkState, subset) -> float:
     split into the identity label and the sum over the rest.  This is the
     cross-check of the Moebius route in :func:`cluster_sums`.
     """
-    subset = tuple(sorted(subset))
-    if any(not 0 <= i < state.n_nodes for i in subset):
-        raise InputError(f"subset {subset} out of range for {state.n_nodes} nodes")
+    subset = _nodes(subset, state.n_nodes)
     w = np.abs(weyl_transform(state.rho, state.dims)) ** 2
     w = w.reshape(tuple(n * n for n in state.dims))
     for axis in range(state.n_nodes):
@@ -359,16 +358,6 @@ class PurityReport:
     rows: dict  # subset tuple -> PurityRow
     table: ClusterSumTable  # the cluster sums the rows were cross-checked against
 
-    def by_size(self, m: int) -> list[PurityRow]:
-        return [r for s, r in sorted(self.rows.items()) if len(s) == m]
-
-    def csv(self) -> str:
-        lines = ["m,subset,p,entropy_bits"]
-        for s, r in sorted(self.rows.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            label = "|".join(str(i + 1) for i in s)
-            lines.append(f"{len(s)},{label},{r.p!r},{r.entropy!r}")
-        return "\n".join(lines) + "\n"
-
 
 def purity_factors(state: NetworkState) -> PurityReport:
     """Normalized purity factor and entropy of every non-empty cluster.
@@ -378,7 +367,9 @@ def purity_factors(state: NetworkState) -> PurityReport:
     (sum of Y over non-empty subsets of S) / (n^m - 1); both must agree.
     One walk over the subset lattice reduces each subset once and takes
     its purity and entropy from that matrix; the cluster sums it builds
-    are returned as ``table``.  Requires uniform node dimension.
+    are returned as ``table``, and their sums over the non-empty subsets
+    of every S are one subset zeta transform.  Requires uniform node
+    dimension.
     """
     n = state.uniform_dim()
     purity, entropy = {}, {}
@@ -387,16 +378,18 @@ def purity_factors(state: NetworkState) -> PurityReport:
         purity[subset] = float(np.sum(np.abs(side) ** 2))
         entropy[subset] = entropy_bits(side)
     table = _moebius_table(state, list(purity.values()))
+    sums = np.array(list(table.values.values()))
+    sums[0] = 0.0  # the empty subset is left out of every sum
+    for bit in range(state.n_nodes):  # in-place subset zeta transform: sums[S] = sum of Y(T), T in S
+        pairs = sums.reshape(-1, 2, 1 << bit)
+        pairs[:, 1] += pairs[:, 0]
+    nonempty_sums = dict(zip(table.values, sums.tolist()))
     rows = {}
     for size in range(1, state.n_nodes + 1):
         for subset in itertools.combinations(range(state.n_nodes), size):
             denom = n ** size - 1
             direct = (n ** size * purity[subset] - 1.0) / denom
-            from_sums = sum(
-                table.values[t]
-                for m in range(1, size + 1)
-                for t in itertools.combinations(subset, m)
-            ) / denom
+            from_sums = nonempty_sums[subset] / denom
             if abs(direct - from_sums) > 1e-9:
                 raise VerificationFailure(
                     f"purity routes disagree on {subset}: {direct} vs {from_sums}")
@@ -421,29 +414,26 @@ class ProductTestResult:
     partition_product: float
 
 
-def product_state_test(state: NetworkState, partition, atol: float = 1e-9) -> ProductTestResult:
+def product_state_test(state: NetworkState, partition) -> ProductTestResult:
     """Check one partition of a cluster for a non-product witness.
 
     ``partition`` is a sequence of disjoint node tuples; their union is
     the tested cluster.  The cluster is witnessed non-product when the
     product of the parts' cluster sums falls below the joint cluster sum
-    by more than ``atol``.
+    by more than 1e-9.
     """
-    return _partition_test(cluster_sums(state), partition, atol)
+    return _partition_test(cluster_sums(state), partition)
 
 
-def _partition_test(table: ClusterSumTable, partition, atol: float) -> ProductTestResult:
+def _partition_test(table: ClusterSumTable, partition) -> ProductTestResult:
     parts = tuple(tuple(sorted(p)) for p in partition)
-    flat = [i for p in parts for i in p]
-    if len(set(flat)) != len(flat):
-        raise InputError("partition blocks must be disjoint")
-    cluster = tuple(sorted(flat))
+    cluster = _nodes([i for p in parts for i in p], len(table.dims))  # blocks must be disjoint
     joint = table.values[cluster]
     prod = 1.0
     for p in parts:
         prod *= table.values[p]
     return ProductTestResult(
-        non_product=prod < joint - atol,
+        non_product=prod < joint - 1e-9,
         partition=parts,
         joint_y=joint,
         partition_product=prod,
@@ -469,18 +459,15 @@ def _partitions(items: tuple[int, ...]):
             yield tuple(tuple(sorted(b)) for b in part)
 
 
-def find_non_product_witness(state: NetworkState, cluster=None, atol: float = 1e-9):
-    """Search all partitions of a cluster; return the first witness or None.
+def find_non_product_witness(state: NetworkState):
+    """Search all partitions of the whole network; return the first witness or None.
 
     The cluster-sum table is computed once and every partition is tested
     against it.
     """
-    if cluster is None:
-        cluster = tuple(range(state.n_nodes))
-    cluster = tuple(sorted(cluster))
     table = cluster_sums(state)
-    for partition in _partitions(cluster):
-        result = _partition_test(table, partition, atol)
+    for partition in _partitions(tuple(range(state.n_nodes))):
+        result = _partition_test(table, partition)
         if result.non_product:
             return result
     return None

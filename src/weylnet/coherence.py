@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import WeylIndex, from_single_index, inverse_weyl_transform, weyl_transform
+from .basis import WeylIndex, as_operator, from_single_index, inverse_weyl_transform, weyl_transform
 from .errors import InputError
+from .io import csv_lines
 
 #: tolerance for state validation (hermiticity, trace, positivity)
 STATE_ATOL = 1e-10
@@ -65,25 +66,21 @@ class CoherenceVector:
         return rows
 
 
-def validate_state(rho, atol: float = STATE_ATOL) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity; return the array."""
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"density operator must be square, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InputError("density operator entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > atol:
+def validate_state(rho) -> np.ndarray:
+    """Check hermiticity, unit trace and positivity to STATE_ATOL; return the array."""
+    m = as_operator(rho)
+    if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
         raise InputError("density operator is not hermitian")
-    if abs(np.trace(m) - 1.0) > atol:
+    if abs(np.trace(m) - 1.0) > STATE_ATOL:
         raise InputError(f"density operator trace {np.trace(m):.3g} != 1")
-    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -atol:
+    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -STATE_ATOL:
         raise InputError("density operator is not positive semidefinite")
     return m
 
 
-def expand_state(rho, atol: float = STATE_ATOL) -> CoherenceVector:
+def expand_state(rho) -> CoherenceVector:
     """Coherence vector of a valid density operator."""
-    m = validate_state(rho, atol)
+    m = validate_state(rho)
     n = m.shape[0]
     u = weyl_transform(m, (n,)).ravel()
     return CoherenceVector(n=n, u=u[1:])
@@ -95,15 +92,16 @@ def reconstruct_state(cv: CoherenceVector) -> np.ndarray:
     return inverse_weyl_transform(np.concatenate(([1.0], cv.u)).reshape(n, n), (n,))
 
 
-def rotation_matrix(u_t, atol: float = 1e-8) -> np.ndarray:
+def rotation_matrix(u_t) -> np.ndarray:
     """Coherence-space rotation T with T_ij = (1/n) tr{U_j U(t)^dag U_i^dag U(t)}.
 
     T is unitary on the (n^2-1)-dimensional coherence space and satisfies
-    expand_state(U rho U^dag).u == T @ expand_state(rho).u.
+    expand_state(U rho U^dag).u == T @ expand_state(rho).u; U must be
+    unitary to 1e-8.
     """
-    U = np.asarray(u_t, dtype=complex)
+    U = as_operator(u_t)
     n = U.shape[0]
-    if np.max(np.abs(U.conj().T @ U - np.eye(n))) > atol:
+    if np.max(np.abs(U.conj().T @ U - np.eye(n))) > 1e-8:
         raise InputError("evolution operator is not unitary")
     d = n * n
     units = inverse_weyl_transform(n * np.eye(d).reshape(d, n, n), (n,))  # U_j, j = n*a + b
@@ -122,7 +120,7 @@ def generator_matrix(h) -> np.ndarray:
     conjugate of H's Weyl coefficient h_k, so
     Omega_ij = (i/n) f_ij conj(h_{j-i}).
     """
-    H = np.asarray(h, dtype=complex)
+    H = as_operator(h)
     n = H.shape[0]
     if np.max(np.abs(H - H.conj().T)) > STATE_ATOL:
         raise InputError("Hamiltonian must be hermitian")
@@ -156,7 +154,4 @@ def evolve_coherence(omega: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
 
 def coherence_csv(cv: CoherenceVector) -> str:
     """CSV export with rows (a, b, Re u, Im u)."""
-    lines = ["a,b,re_u,im_u"]
-    for a, b, re, im in cv.csv_rows():
-        lines.append(f"{a},{b},{re!r},{im!r}")
-    return "\n".join(lines) + "\n"
+    return csv_lines("a,b,re_u,im_u", cv.csv_rows())

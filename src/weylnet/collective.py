@@ -74,11 +74,17 @@ class CollectiveLabel:
         return self.alpha + self.beta + self.gamma
 
 
+def _identity_count(counts: tuple[int, ...], n_nodes: int) -> int:
+    """N minus the operator counts, which must be non-negative and sum to at most N."""
+    rest = n_nodes - sum(counts)
+    if min(counts) < 0 or rest < 0:
+        raise InputError(f"counts {counts} must be non-negative with sum <= N={n_nodes}")
+    return rest
+
+
 def multiplicity(alpha: int, beta: int, gamma: int, n_nodes: int) -> int:
     """Omega: number of placements of the multiplicity class on N nodes."""
-    rest = n_nodes - alpha - beta - gamma
-    if rest < 0:
-        raise InputError(f"multiplicities ({alpha},{beta},{gamma}) exceed N={n_nodes}")
+    rest = _identity_count((alpha, beta, gamma), n_nodes)
     return math.factorial(n_nodes) // (
         math.factorial(alpha) * math.factorial(beta) * math.factorial(gamma) * math.factorial(rest)
     )
@@ -104,9 +110,7 @@ def _arrangements(letters: str, counts: tuple[int, ...]) -> list[str]:
 @lru_cache(maxsize=None)
 def placements(alpha: int, beta: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
     """Lexicographically ordered placement strings over {I, X, Y, Z}."""
-    rest = n_nodes - alpha - beta - gamma
-    if rest < 0:
-        raise InputError(f"multiplicities ({alpha},{beta},{gamma}) exceed N={n_nodes}")
+    rest = _identity_count((alpha, beta, gamma), n_nodes)
     return tuple(_arrangements("IXYZ", (rest, alpha, beta, gamma)))
 
 
@@ -338,6 +342,7 @@ def f_placements(z: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
     by one permutation label, which keeps the phase transform an
     invertible DFT and the family complete.
     """
+    _identity_count((abs(z), gamma), n_nodes)
     out = []
     for alpha in range(n_nodes + 1):
         beta = alpha - z
@@ -358,6 +363,7 @@ def g_labels(n_nodes: int):
 @lru_cache(maxsize=None)
 def g_placements(m: int, n_nodes: int) -> tuple[str, ...]:
     """All placements of m non-identity factors of any type; 3^m C(N,m)."""
+    _identity_count((m,), n_nodes)
     out = []
     for alpha in range(m + 1):
         for beta in range(m + 1 - alpha):
@@ -530,19 +536,20 @@ class DriftReport:
         ]
 
 
-def verify_invariants(inv: InvariantSet, rho0, total_time: float, steps: int = 80) -> DriftReport:
+def verify_invariants(inv: InvariantSet, rho0, total_time: float) -> DriftReport:
     """Propagate rho exactly (spectral 4x4 exponential) and track drift.
 
-    Drift of each expression is max_t |value(t) - value(0)|; the
-    propagation is exact up to diagonalization roundoff so drift
-    measures formula correctness, not integrator error.
+    Drift of each expression is max_t |value(t) - value(0)| over 80
+    equal steps up to ``total_time``; the propagation is exact up to
+    diagonalization roundoff so drift measures formula correctness, not
+    integrator error.
     """
     rho = validate_state(rho0)
     vals, vecs = np.linalg.eigh(inv.hamiltonian)
     coeffs0 = decompose_collective(rho, inv.n_nodes)
     at_zero = {e.name: e.evaluate(coeffs0) for e in inv.expressions}
     drift = {e.name: 0.0 for e in inv.expressions}
-    for t in np.linspace(0.0, total_time, steps + 1)[1:]:
+    for t in np.linspace(0.0, total_time, 81)[1:]:
         u = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
         coeffs = decompose_collective(u @ rho @ u.conj().T, inv.n_nodes)
         for e in inv.expressions:

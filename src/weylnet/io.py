@@ -3,7 +3,8 @@
 Operator schema: {"dim": n, "entries": [[{"re": x, "im": y}, ...], ...]}
 with row-major entries.  A network-state file adds "dims": [n_1, ..., n_N].
 Floats serialize through Python's shortest round-trip repr, so the
-round trip is bit-exact.
+round trip is bit-exact.  Entries must be finite both ways: the writers
+refuse NaN and infinities, as the readers do.
 
 The codec keeps no Python object per matrix entry beyond parsing or
 formatting it.  The reader turns each {"re", "im"} cell of two real
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 
 import numpy as np
@@ -58,25 +58,16 @@ def _loads_object(text: str) -> dict:
     return data
 
 
-def _float_text(x: float) -> str:
-    """json's spelling of a float: repr, or NaN/Infinity/-Infinity."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _entries_text(op) -> tuple[int, str]:
-    """(dim, the "entries" grid as JSON text) of a square matrix."""
+    """(dim, the "entries" grid as JSON text) of a square matrix with finite entries."""
     m = np.ascontiguousarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("operator must be a square matrix")
+    if not np.isfinite(m).all():
+        raise InputError("operator entries must be finite")
     dim = m.shape[0]
-    parts = m.view(float).tolist()  # per row: re_0, im_0, re_1, im_1, ...
-    if np.isfinite(m).all():
-        row = "[" + ", ".join(['{"re": %r, "im": %r}'] * dim) + "]"
-        rows = [row % tuple(values) for values in parts]
-    else:
-        rows = ["[" + ", ".join('{"re": %s, "im": %s}' % (_float_text(re), _float_text(im))
-                                for re, im in zip(values[::2], values[1::2])) + "]"
-                for values in parts]
+    row = "[" + ", ".join(['{"re": %r, "im": %r}'] * dim) + "]"
+    rows = [row % tuple(values) for values in m.view(float).tolist()]  # re_0, im_0, re_1, ...
     return dim, "[" + ", ".join(rows) + "]"
 
 
@@ -174,7 +165,7 @@ def schedule_to_json(schedule) -> str:
             op = texts[id(seg.operator)] = operator_to_json(seg.operator)
         text = '{"kind": %s, "operator": %s' % (json.dumps(seg.kind), op)
         if seg.kind == "hamiltonian":
-            text += ', "dt": %s' % _float_text(float(seg.duration))
+            text += ', "dt": %r' % float(seg.duration)  # finite: Segment checks it
         parts.append(text + "}")
     return "[" + ", ".join(parts) + "]"
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, weyl_matrix
+from .basis import WeylIndex, as_operator, weyl_matrix
 from .errors import CapExceeded, DimensionMismatch, InputError
 
 #: spectral trace tolerance for echo Hamiltonians
@@ -54,6 +54,8 @@ class Segment:
     duration: float = 0.0
 
     def __post_init__(self):
+        # the tolerance checks are written so that NaN fails them, and a
+        # non-finite entry makes the residual NaN or infinite
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise InputError("segment operator must be square")
@@ -62,12 +64,12 @@ class Segment:
         if self.kind == "hamiltonian":
             if self.duration < 0:
                 raise InputError("negative duration")
-            if np.max(np.abs(op - op.conj().T)) > 1e-10:
+            if not np.max(np.abs(op - op.conj().T)) <= 1e-10:
                 raise InputError("Hamiltonian segment must be hermitian")
         elif self.kind == "gate":
             if self.duration != 0.0:
                 raise InputError("instantaneous gates carry zero duration")
-            if np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) > 1e-10:
+            if not np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-10:
                 raise InputError("gate segment must be unitary")
         else:
             raise InputError(f"unknown segment kind {self.kind!r}")
@@ -181,7 +183,7 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     """
     if cycles < 1:
         raise InputError(f"echo needs at least one cycle, got {cycles}")
-    h = np.asarray(h, dtype=complex)
+    h = as_operator(h)
     n = h.shape[0]
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise InputError("echo Hamiltonian must be hermitian")
@@ -264,12 +266,6 @@ def gray_sequence(n_bits: int) -> GraySequence:
         tail = np.tile(np.array([0, 1, 1, 0], dtype=np.uint64), len(codes) // 2 or 1)[: len(doubled)]
         codes = doubled + tail
     return GraySequence(n_bits=n_bits, codes=codes)
-
-
-def reflected_gray_codes(n_bits: int) -> np.ndarray:
-    """Independent closed form k ^ (k >> 1) (cross-check oracle)."""
-    k = np.arange(1 << n_bits, dtype=np.uint64)
-    return np.bitwise_xor(k, k >> np.uint64(1))
 
 
 # ---------------------------------------------------------------------------

@@ -310,36 +310,15 @@ class ScenarioReport:
     pair_singlet_scalar_residual: float
 
 
-def _unitary_sending(dim: int, source: int, target: np.ndarray) -> np.ndarray:
-    """Any unitary mapping |source> to the given unit vector (Gram-Schmidt)."""
-    cols = [target]
-    for idx in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        for c in cols:
-            v -= c * np.vdot(c, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            cols.append(v / norm)
-        if len(cols) == dim:
-            break
-    u = np.stack(cols, axis=1)
-    # place the target column at `source`
-    order = list(range(dim))
-    order[0], order[source] = order[source], order[0]
-    return u[:, np.argsort(order)]
-
-
-def symmetry_breaking_scenario(
-    total_time: float = 50.0, steps: int = 60, seed: int = 0
-) -> ScenarioReport:
+def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> ScenarioReport:
     """Selective preparation moves |0000> into the j = 1 class and stays.
 
     A selective two-node unitary turns nodes 1-2 into the antisymmetric
     pair state; the four-node state then has all its weight at j = 1,
     and any permutation-symmetric evolution keeps it there.  The fully
     paired state (both node pairs antisymmetric) sits at j = 0 and is an
-    eigenvector of every b = 0 collective operator.
+    eigenvector of every b = 0 collective operator.  The symmetric
+    Hamiltonian has normal random weights from seed 0.
     """
     n_nodes = 4
     dim = 16
@@ -352,12 +331,14 @@ def symmetry_breaking_scenario(
     singlet = np.zeros(4, dtype=complex)
     singlet[0b01] = 1 / _S2
     singlet[0b10] = -1 / _S2
-    v = _unitary_sending(4, 0, singlet)
+    ket = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11>
+    # sends |00> to the singlet and |01>, |10>, |11> to the triplet |00>, (|01>+|10>)/sqrt(2), |11>
+    v = np.stack([singlet, ket[0b00], (ket[0b01] + ket[0b10]) / _S2, ket[0b11]], axis=1)
     u_prep = np.kron(v, np.eye(4, dtype=complex))
     psi1 = u_prep @ psi0
     prepared = {j: float(np.real(psi1.conj() @ p @ psi1)) for j, p in projectors.items()}
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     h = np.zeros((dim, dim), dtype=complex)
     for lab in collective_labels(n_nodes, b_zero_only=True):
         h += rng.normal() * collective_operator(lab, n_nodes)

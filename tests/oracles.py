@@ -15,6 +15,9 @@ The spin basis takes S^2 and S_- as dense 2^N x 2^N products of the
 dense total spin, as the package did before it worked per S_z block.
 The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
+Commuting sets are checked by dense commutators of their members, the
+commutation graph comes from one int64 product of the index vectors, and
+the Gray sequence from its closed form k ^ (k >> 1).
 They are slow and exist only as test oracles.
 """
 
@@ -425,6 +428,29 @@ def complete_group(members, n, n_nodes):
                 if len(group) >= n ** n_nodes:
                     break
     return group, generators
+
+
+def commutes_pairwise(members, atol=1e-12):
+    """Every pair of labels commutes as dense Kronecker matrices, to ``atol``."""
+    mats = [cluster_operator(m) for m in members]
+    return all(np.max(np.abs(x @ y - y @ x)) <= atol for x, y in itertools.combinations(mats, 2))
+
+
+def commutation_graph(labels):
+    """Per-vertex adjacency bitmasks (no self loops) of uniform-dimension labels."""
+    if not labels:
+        return []
+    vecs = np.array([[x for e in lab.entries for x in e] for lab in labels], dtype=np.int64)
+    a, b = vecs[:, 0::2], vecs[:, 1::2]
+    commute = (a @ b.T - b @ a.T) % labels[0].dims[0] == 0
+    np.fill_diagonal(commute, False)
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in commute]
+
+
+def reflected_gray_codes(n_bits):
+    """The reflected Gray code in closed form, k ^ (k >> 1)."""
+    k = np.arange(1 << n_bits, dtype=np.uint64)
+    return np.bitwise_xor(k, k >> np.uint64(1))
 
 
 def cat_seed_clique(n, n_nodes):

@@ -97,7 +97,7 @@ class TestProducts:
         m = weyl_matrix(WeylIndex(1, 1, 2))
         assert np.max(np.abs(m @ m - (-1) * np.eye(2))) < 1e-12
         phase, res = basis.weyl_product(WeylIndex(1, 1, 2), WeylIndex(1, 1, 2))
-        assert abs(phase - (-1)) < 1e-12 and res.is_identity
+        assert abs(phase - (-1)) < 1e-12 and (res.a, res.b) == (0, 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_product_matrix_level(self, n):
@@ -133,7 +133,7 @@ class TestAdjoint:
 
     def test_identity(self):
         phase, res = basis.weyl_adjoint(WeylIndex(0, 0, 4))
-        assert phase == 1 and res.is_identity
+        assert phase == 1 and (res.a, res.b) == (0, 0)
 
     def test_n2_self_adjoint_up_to_sign(self):
         # conjugate-transpose oracle
@@ -245,13 +245,13 @@ class TestDetEigs:
         assert basis.weyl_det(WeylIndex(1, 0, 2)) == -1
 
     def test_identity_spectrum(self):
-        det, eigs = basis.weyl_det_eigs(WeylIndex(0, 0, 4))
+        det, eigs = basis.weyl_det(WeylIndex(0, 0, 4)), basis.weyl_eigenvalues(WeylIndex(0, 0, 4))
         assert det == 1 and np.max(np.abs(eigs - 1)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_spectrum_properties(self, n):
         for idx in all_indices(n):
-            det, eigs = basis.weyl_det_eigs(idx)
+            det, eigs = basis.weyl_det(idx), basis.weyl_eigenvalues(idx)
             assert np.max(np.abs(np.abs(eigs) - 1)) < 1e-12
             assert abs(np.prod(eigs) - det) < 1e-10
             target = basis.eigenvalue_power_target(idx)
@@ -302,6 +302,13 @@ class TestTwoGeneratorSpan:
 
 
 class TestConversions:
+    @pytest.mark.parametrize("basis_name,coeffs", [
+        ("weyl", {(3, 0): 1}), ("transition", {(-1, 0): 1}), ("transition", {(0, 3): 1}),
+        ("sun", {("bogus",): 1}), ("sun", {("u", 0, 3): 1})])
+    def test_assemble_rejects_keys_outside_the_basis(self, basis_name, coeffs):
+        with pytest.raises(InputError):
+            basis.assemble(3, basis_name, coeffs)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trips(self, n):
         rng = np.random.default_rng(5 * n)
@@ -421,6 +428,6 @@ class TestPowers:
             for a in range(n):
                 for b in range(n):
                     exp, res = basis.weyl_power(WeylIndex(a, b, n), n)
-                    assert res.is_identity
+                    assert (res.a, res.b) == (0, 0)
                     assert abs(basis.root_of_unity(n, exp)
                                - basis.eigenvalue_power_target(WeylIndex(a, b, n))) < 1e-12

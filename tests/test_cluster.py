@@ -298,6 +298,17 @@ class TestPurityFactors:
             assert bits([row.p, row.entropy]) == bits([p, cluster.reduced_entropy(state, subset)])
 
 
+@pytest.mark.parametrize("n_nodes", range(1, 9))
+def test_sums_over_subsets_match_the_nested_sum(n_nodes):
+    """The zeta-transform cross-check of purity_factors against the sum over every subset."""
+    state = random_state((2,) * n_nodes, np.random.default_rng(n_nodes), pure=n_nodes > 4)
+    report = cluster.purity_factors(state)
+    for subset, row in report.rows.items():
+        nested = sum(report.table.values[t] for m in range(1, len(subset) + 1)
+                     for t in itertools.combinations(subset, m))
+        assert abs(row.p_from_sums - nested / (2 ** len(subset) - 1)) < 1e-10
+
+
 class TestProductStateTest:
     def test_product_state_no_witness(self):
         assert cluster.find_non_product_witness(product_01()) is None
@@ -328,6 +339,23 @@ class TestProductStateTest:
     def test_overlapping_partition_rejected(self):
         with pytest.raises(InputError):
             cluster.product_state_test(bell_state(), [(0,), (0, 1)])
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+    @pytest.mark.parametrize("call", [
+        lambda st: cluster.product_state_test(st, [(0,), (5,)]),
+        lambda st: cluster.reduced_state(st, (3,)),
+        lambda st: cluster.reduced_state(st, (-1,)),
+        lambda st: cluster.reduced_state(st, (1, 1)),
+        lambda st: cluster.reduced_purity(st, (0, 2)),
+        lambda st: cluster.reduced_purity(st, (0, 0)),
+        lambda st: cluster.reduced_entropy(st, (2,)),
+        lambda st: cluster.cluster_sum_direct(st, (1, 1)),
+    ], ids=["partition", "state", "state-negative", "state-repeated", "purity",
+            "purity-repeated", "entropy", "direct-repeated"])
+    def test_bad_nodes_rejected(self, call, pure):
+        st = bell_state() if pure else NetworkState.from_rho(bell_state().rho, (2, 2))
+        with pytest.raises(InputError, match="distinct and in range"):
+            call(st)
 
 
 class TestValidationAndCaps:

@@ -207,6 +207,14 @@ class TestGenerator:
             coherence.generator_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("build", [coherence.rotation_matrix, coherence.generator_matrix])
+@pytest.mark.parametrize("op", [np.zeros((2, 3)), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])],
+                         ids=["non-square", "nan", "inf"])
+def test_malformed_operator_rejected(build, op):
+    with pytest.raises(InputError):
+        build(op)
+
+
 class TestCsv:
     def test_rows_and_header(self):
         cv = coherence.expand_state(np.diag([1.0, 0.0]).astype(complex))

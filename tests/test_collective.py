@@ -69,6 +69,22 @@ class TestPlacements:
                     expected += oracles.arrangements("I" * (n_nodes - m) + "X" * a + "Y" * b + "Z" * (m - a - b))
             assert collective.g_placements(m, n_nodes) == tuple(sorted(expected))
 
+    @pytest.mark.parametrize("build", [
+        lambda: placements(-1, 0, 0, 3),
+        lambda: placements(2, 1, 1, 3),
+        lambda: collective.multiplicity(-1, 0, 0, 3),
+        lambda: collective.selective_to_collective(0, -1, 0, 0, 3),
+        lambda: collective.f_placements(9, 0, 3),
+        lambda: collective.f_placements(-2, 2, 3),
+        lambda: collective.g_placements(5, 3),
+        lambda: collective.g_placements(-1, 3),
+        lambda: collective.g_operator(5, 0, 3),
+    ], ids=["placements-negative", "placements-over-N", "multiplicity", "selective-to-collective",
+            "f-net-flip", "f-flip-and-gamma", "g-over-N", "g-negative", "g-operator"])
+    def test_out_of_range_counts_rejected(self, build):
+        with pytest.raises(InputError, match="counts"):
+            build()
+
     def test_large_classes_without_factorial_work(self):
         # deduplicating 12! permutations would take minutes
         assert placements(12, 0, 0, 12) == ("X" * 12,)

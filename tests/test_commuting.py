@@ -94,7 +94,7 @@ class TestConstructions:
     def test_pairwise_matrix_level(self, n, n_nodes):
         for cs in (commuting.construct_method_a(n, n_nodes),
                    commuting.construct_method_b(n, n_nodes)):
-            assert cs.verify_pairwise(matrix_level=True)
+            assert cs.verify_pairwise() and oracles.commutes_pairwise(cs.members)
             assert all(m.is_pure_cluster for m in cs.members)
 
     @pytest.mark.parametrize("n,n_nodes", [(2, 5), (3, 4), (4, 3), (4, 4)])
@@ -116,7 +116,7 @@ class TestConstructions:
     def test_six_tabulated_sets_commute(self):
         for entries in SIX_SETS_N2:
             cs = make_set(entries, 2)
-            assert cs.verify_pairwise(matrix_level=True)
+            assert cs.verify_pairwise() and oracles.commutes_pairwise(cs.members)
 
 
 class TestSearch:
@@ -373,7 +373,7 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("n,n_nodes", FULL_SEARCH_ROWS)
     def test_reduced_search_matches_full_graph(self, n, n_nodes):
         labels = commuting.pure_cluster_labels(n, n_nodes)
-        adj = commuting.commutation_graph(labels)
+        adj = oracles.commutation_graph(labels)
         full, _, full_exhausted = commuting.max_clique(adj, [], commuting.DEFAULT_NODE_BUDGET)
         result = commuting.search_max_commuting(n, n_nodes)
         assert (result.commuting_set.size, result.exact) == (len(full), not full_exhausted)

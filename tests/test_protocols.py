@@ -28,7 +28,6 @@ from weylnet.protocols import (
     gray_sequence,
     hermitian_expm,
     phase_distance,
-    reflected_gray_codes,
     selective_network_echo,
 )
 
@@ -89,6 +88,16 @@ class TestSegmentsAndEvolve:
             Segment("gate", np.eye(2), 1.0)  # gates are instantaneous
         with pytest.raises(DimensionMismatch):
             PulseSchedule([Segment("gate", np.eye(2)), Segment("gate", np.eye(3))])
+
+    @pytest.mark.parametrize("kind", ["hamiltonian", "gate"])
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1), (1, 0)]], ids=["diagonal", "mirrored"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_operator_rejected(self, kind, cells, value):
+        op = np.eye(2, dtype=complex)
+        for cell in cells:
+            op[cell] = value
+        with pytest.raises(InputError):
+            Segment(kind, op, 1.0 if kind == "hamiltonian" else 0.0)
 
     def test_one_exponential_per_distinct_segment(self):
         rng = np.random.default_rng(4)
@@ -177,6 +186,12 @@ class TestEcho:
         with pytest.raises(InputError, match="cycle"):
             echo_schedule(np.diag([1.0, -1.0]), 1.0, cycles=cycles)
 
+    @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.diag([np.nan, 0.0]), np.diag([np.inf, -np.inf])],
+                             ids=["non-square", "nan", "inf"])
+    def test_malformed_hamiltonian_rejected(self, h):
+        with pytest.raises(InputError):
+            echo_schedule(h, 1.0)
+
     def test_non_traceless_rejected_with_shift(self):
         h = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(InputError, match="shift by"):
@@ -235,7 +250,7 @@ class TestGray:
         seq = gray_sequence(n_bits)
         assert seq.hamming_check()
         assert seq.covers_all()
-        assert np.array_equal(seq.codes, reflected_gray_codes(n_bits))
+        assert np.array_equal(seq.codes, oracles.reflected_gray_codes(n_bits))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
