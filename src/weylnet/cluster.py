@@ -58,11 +58,6 @@ class ProductLabel:
     def cluster_size(self) -> int:
         return len(self.support)
 
-    @property
-    def is_pure_cluster(self) -> bool:
-        """True when every node carries a non-identity factor."""
-        return self.cluster_size == self.n_nodes
-
 
 def label_from_entries(entries, dims) -> ProductLabel:
     return ProductLabel(tuple((int(a), int(b)) for a, b in entries), tuple(int(n) for n in dims))
@@ -159,8 +154,8 @@ class NetworkState:
 def partial_trace(rho, dims, keep) -> np.ndarray:
     """Reduced density matrix on the (sorted) node subset ``keep``."""
     dims = tuple(dims)
-    keep = tuple(sorted(keep))
     n = len(dims)
+    keep = _nodes(keep, n)
     m = np.asarray(rho, dtype=complex).reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for off, axis in enumerate(traced):
@@ -241,8 +236,8 @@ def correlation_tensors(state: NetworkState, max_order: int) -> dict:
     value 1.  Every modulus is checked against the loose bound
     sqrt(prod dims).
     """
-    if max_order > state.n_nodes:
-        raise InputError(f"max_order {max_order} exceeds node count {state.n_nodes}")
+    if not 0 <= max_order <= state.n_nodes:
+        raise InputError(f"max_order {max_order} must be between 0 and the node count {state.n_nodes}")
     u = weyl_transform(state.rho, state.dims)
     bound = float(np.sqrt(state.total_dim)) + 1e-9
     out = {}

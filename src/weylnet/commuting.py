@@ -33,6 +33,8 @@ from .errors import CapExceeded, InputError
 DEFAULT_VERTEX_CAP = 5000
 #: default branch-and-bound node budget
 DEFAULT_NODE_BUDGET = 10**8
+#: complex images per block of the eigenstate's group residual, in bytes
+_RESIDUAL_BLOCK_BYTES = 1 << 24
 
 
 def symplectic_form(x, y, n: int) -> np.ndarray:
@@ -144,26 +146,26 @@ def bound_d(n: int, n_nodes: int) -> int:
 # commutation graph and maximum clique
 # ---------------------------------------------------------------------------
 
-def pure_cluster_labels(n: int, n_nodes: int) -> list[ProductLabel]:
-    """All (n^2-1)^N pure N-cluster labels, lexicographic."""
-    dims = (n,) * n_nodes
-    return [
-        label_from_entries(combo, dims)
-        for combo in itertools.product(_pure_entry_choices(n), repeat=n_nodes)
-    ]
+def _pure_rows(n: int, n_nodes: int) -> np.ndarray:
+    """Index rows (a_1, b_1, ..., a_N, b_N) of the (n^2-1)^N pure N-cluster labels, lexicographic.
+
+    Row v is vertex v: node i's pair is digit a n + b - 1 of v in base
+    n^2 - 1, node 1 the most significant (:func:`_vertices` inverts it).
+    """
+    m = n * n - 1
+    digits = np.arange(m ** n_nodes)[:, None] // m ** np.arange(n_nodes - 1, -1, -1) % m + 1
+    return np.stack([digits // n, digits % n], axis=2).reshape(len(digits), 2 * n_nodes)
+
+
+def _vertices(vecs: np.ndarray, n: int) -> list[int]:
+    """Vertex index of each pure label row, by rank arithmetic in base n^2 - 1."""
+    place = (n * n - 1) ** np.arange(vecs.shape[1] // 2 - 1, -1, -1)
+    return ((vecs[:, 0::2] * n + vecs[:, 1::2] - 1) @ place).tolist()
 
 
 def _vectors(labels: list[ProductLabel]) -> np.ndarray:
     """Index vectors (a_1, b_1, ..., a_N, b_N) of the labels, one row per label."""
     return np.array([_label_to_vector(lab) for lab in labels], dtype=np.int64)
-
-
-def commute_matrix(labels: list[ProductLabel]) -> np.ndarray:
-    """Boolean commutation matrix of uniform-dimension labels (no self loops)."""
-    vecs = _vectors(labels)
-    commute = symplectic_form(vecs, vecs, labels[0].dims[0]) == 0
-    np.fill_diagonal(commute, False)
-    return commute
 
 
 def _bitmasks(commute: np.ndarray) -> list[int]:
@@ -196,18 +198,16 @@ def node_orbits(n: int) -> dict[tuple[int, int], int]:
     return orbit
 
 
-def label_orbits(labels: list[ProductLabel]) -> np.ndarray:
-    """Orbit index of every pure label under local SL(2, Z_n) maps and node permutations.
+def label_orbits(rows: np.ndarray, n: int) -> np.ndarray:
+    """Orbit index of every pure label row under local SL(2, Z_n) maps and node permutations.
 
     A label's orbit is fixed by the sorted tuple of its per-node orbit
     ids; orbits are numbered in the order of those tuples.
     """
-    n = labels[0].dims[0]
     table = np.full((n, n), -1, dtype=np.int64)
     for (a, b), oid in node_orbits(n).items():
         table[a, b] = oid
-    vecs = _vectors(labels)
-    keys = np.sort(table[vecs[:, 0::2], vecs[:, 1::2]], axis=1)
+    keys = np.sort(table[rows[:, 0::2], rows[:, 1::2]], axis=1)
     return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
@@ -275,8 +275,8 @@ def max_clique(adj: list[int], initial: list[int], budget: int) -> tuple[list[in
     return best, expansions, False
 
 
-def cat_seed_clique(n: int, n_nodes: int) -> list[int]:
-    """Vertex indices whose operators stabilize the aligned cat state.
+def cat_seed_clique(rows: np.ndarray, n: int) -> list[int]:
+    """Indices of the pure label rows whose operators stabilize the aligned cat state.
 
     The equal-weight superposition of the n aligned product states is a
     joint eigenstate of a large pure-cluster family; membership is read
@@ -285,8 +285,7 @@ def cat_seed_clique(n: int, n_nodes: int) -> list[int]:
     equal, and the expectation (1/n) sum_j w^(j sum b) then has modulus 1
     exactly when sum b = 0 mod n.
     """
-    vecs = _vectors(pure_cluster_labels(n, n_nodes))
-    a, b = vecs[:, 0::2], vecs[:, 1::2]
+    a, b = rows[:, 0::2], rows[:, 1::2]
     return np.flatnonzero(np.all(a == a[:, :1], axis=1) & (b.sum(axis=1) % n == 0)).tolist()
 
 
@@ -326,16 +325,13 @@ def search_max_commuting(
         raise CapExceeded(
             f"{n_vertices} vertices exceed the cap {vertex_cap}; "
             "use the constructive methods or raise the cap")
-    labels = pure_cluster_labels(n, n_nodes)
-    index_of = {lab: i for i, lab in enumerate(labels)}
-    commute = commute_matrix(labels)
-    orbit = label_orbits(labels)
+    rows = _pure_rows(n, n_nodes)
+    commute = symplectic_form(rows, rows, n) == 0
+    np.fill_diagonal(commute, False)
+    orbit = label_orbits(rows, n)
 
-    seeds = [
-        [index_of[lab] for lab in construct_method_a(n, n_nodes).members],
-        [index_of[lab] for lab in construct_method_b(n, n_nodes).members],
-        cat_seed_clique(n, n_nodes),
-    ]
+    seeds = [_vertices(_vectors(build(n, n_nodes).members), n)
+             for build in (construct_method_a, construct_method_b)] + [cat_seed_clique(rows, n)]
     incumbent = max(seeds, key=len)
     expansions, exhausted = 0, False
     searched = np.zeros(n_vertices, dtype=bool)
@@ -354,7 +350,8 @@ def search_max_commuting(
             incumbent = [root] + [int(cand[i]) for i in best]
         if exhausted:
             break
-    members = tuple(sorted(labels[v] for v in incumbent))
+    dims = (n,) * n_nodes
+    members = tuple(_vector_to_label(rows[v].tolist(), dims) for v in sorted(incumbent))
     method = "C-heuristic" if exhausted else "C-exact"
     return SearchResult(
         commuting_set=CommutingSet(n=n, n_nodes=n_nodes, members=members, method=method),
@@ -373,8 +370,7 @@ def _label_to_vector(label: ProductLabel) -> tuple[int, ...]:
 
 
 def _vector_to_label(vec, dims) -> ProductLabel:
-    entries = [(vec[2 * i], vec[2 * i + 1]) for i in range(len(dims))]
-    return label_from_entries(entries, dims)
+    return label_from_entries(zip(vec[0::2], vec[1::2]), dims)
 
 
 def complete_commuting_group(members, n: int, n_nodes: int) -> np.ndarray:
@@ -392,8 +388,9 @@ def complete_commuting_group(members, n: int, n_nodes: int) -> np.ndarray:
 
 
 def _complete_group(members, n: int, n_nodes: int):
-    """(group, generators): the group's sorted rows and the members' vectors plus those adjoined.
+    """(group, generators): the group's sorted rows and the vectors adjoined to build it.
 
+    Those are each member not yet in the group, then the scan's vectors.
     The group is the sorted array of its vectors' lexicographic ranks.
     Adjoining g adds j g, for every j below g's additive order, to every
     element and keeps the distinct ranks.
@@ -410,12 +407,13 @@ def _complete_group(members, n: int, n_nodes: int):
         steps = np.multiply.outer(np.arange(n // math.gcd(n, *g)), g)
         group = np.unique((group[:, None] // place % n + steps[:, None]) % n @ place)
 
-    generators = [_label_to_vector(m) for m in members]
-    for i, g in enumerate(generators):
+    generators = []
+    for g in map(_label_to_vector, members):
         if np.dot(g, place) in group:
             continue  # the group's operators commute with each other, g among them
-        if i and np.any(symplectic_form([g], generators[:i], n)):
+        if np.any(symplectic_form([g], np.reshape(generators, (-1, width)), n)):
             raise InputError("completion needs pairwise commuting members")
+        generators.append(g)
         adjoin(g)
     start = 0
     while len(group) < target and start < n ** width:
@@ -459,7 +457,7 @@ class CommonEigenstate:
     """Simultaneous eigenvector of a completed commuting operator group."""
 
     vector: np.ndarray
-    completion: list  # ProductLabel list, the full commuting group
+    completion: np.ndarray  # (n^N, 2N) index rows of the full commuting group, lexicographic
     completion_size: int
     target_size: int
     pure_cluster_count: int
@@ -474,15 +472,15 @@ def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     """Common eigenstate of a commuting set after group completion.
 
     Starts from the basis vector |seed mod n^N> and applies, for every
-    generator g of the completed group (the members and the vectors the
-    completion adjoined), the projector onto the eigenspace of U_g that
-    keeps the largest component.  The projectors commute, so the result
-    is an eigenvector of every group element, unique up to phase when
-    the group is complete; a component never vanishes, so there is no
-    retry.  Every U_g acts on vectors through the monomial product kernel
+    generator g the completion adjoined (members already in the group
+    add nothing), the projector onto the eigenspace of U_g that keeps the
+    largest component.  The projectors commute, so the result is an
+    eigenvector of every group element, unique up to phase when the
+    group is complete; a component never vanishes, so there is no retry.
+    Every U_g acts on vectors through the monomial product kernel
     (:func:`weylnet.basis.apply_products`), a phase multiply and an index
     scatter.  The returned residual is max over the group of
-    ||U psi - <U> psi||, from the same action applied to all group elements at once.
+    ||U psi - <U> psi||, from the same action on blocks of group rows.
     """
     n, n_nodes = cset.n, cset.n_nodes
     dims = (n,) * n_nodes
@@ -492,16 +490,17 @@ def common_eigenstate(cset: CommutingSet, seed: int = 0) -> CommonEigenstate:
     psi[seed % dim] = 1.0
     for g in generators:
         psi = _eigen_component(g, psi, n, n_nodes)
-    images = apply_products(weyl_factors(group[:, 0::2], group[:, 1::2], dims), psi)
-    expectations = images @ psi.conj()
-    residual = float(np.max(np.linalg.norm(images - expectations[:, None] * psi, axis=1)))
-    group_labels = [_vector_to_label(v, dims) for v in group.tolist()]
-    pure = sum(1 for lab in group_labels if lab.is_pure_cluster)
+    residual = 0.0
+    step = max(1, _RESIDUAL_BLOCK_BYTES // (16 * dim))
+    for block in (group[i:i + step] for i in range(0, len(group), step)):
+        images = apply_products(weyl_factors(block[:, 0::2], block[:, 1::2], dims), psi)
+        expectations = images @ psi.conj()
+        residual = max(residual, float(np.max(np.linalg.norm(images - expectations[:, None] * psi, axis=1))))
     return CommonEigenstate(
         vector=psi,
-        completion=group_labels,
-        completion_size=len(group_labels),
+        completion=group,
+        completion_size=len(group),
         target_size=dim,
-        pure_cluster_count=pure,
+        pure_cluster_count=int(np.count_nonzero(np.all(group[:, 0::2] | group[:, 1::2], axis=1))),
         max_residual=residual,
     )

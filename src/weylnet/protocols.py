@@ -55,7 +55,8 @@ class Segment:
 
     def __post_init__(self):
         # the tolerance checks are written so that NaN fails them, and a
-        # non-finite entry makes the residual NaN or infinite
+        # non-finite entry makes the residual NaN or infinite (numpy's
+        # invalid-value warning on the way is silenced)
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise InputError("segment operator must be square")
@@ -64,12 +65,16 @@ class Segment:
         if self.kind == "hamiltonian":
             if self.duration < 0:
                 raise InputError("negative duration")
-            if not np.max(np.abs(op - op.conj().T)) <= 1e-10:
+            with np.errstate(invalid="ignore"):
+                hermitian = np.max(np.abs(op - op.conj().T)) <= 1e-10
+            if not hermitian:
                 raise InputError("Hamiltonian segment must be hermitian")
         elif self.kind == "gate":
             if self.duration != 0.0:
                 raise InputError("instantaneous gates carry zero duration")
-            if not np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-10:
+            with np.errstate(invalid="ignore"):
+                unitary = np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-10
+            if not unitary:
                 raise InputError("gate segment must be unitary")
         else:
             raise InputError(f"unknown segment kind {self.kind!r}")

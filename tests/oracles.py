@@ -16,8 +16,9 @@ dense total spin, as the package did before it worked per S_z block.
 The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
 Commuting sets are checked by dense commutators of their members, the
-commutation graph comes from one int64 product of the index vectors, and
-the Gray sequence from its closed form k ^ (k >> 1).
+pure cluster labels are one label object each, the commutation graph
+comes from one int64 product of their index vectors, and the Gray
+sequence from its closed form k ^ (k >> 1).
 They are slow and exist only as test oracles.
 """
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from weylnet.cluster import kron_all
+from weylnet.cluster import kron_all, label_from_entries
 from weylnet.collective import (
     ID2,
     SIGMA_MINUS,
@@ -395,7 +396,7 @@ def symplectic(v, w, n):
     return total % n
 
 
-def _group_closure(generators, n):
+def group_closure(generators, n):
     """The additive closure of index vectors in Z_n^(2N), by breadth-first search over tuples."""
     gens = list(set(generators))
     if not gens:
@@ -414,17 +415,24 @@ def _group_closure(generators, n):
 
 
 def complete_group(members, n, n_nodes):
-    """(group, generators) by scanning every vector in lexicographic order, one test at a time."""
-    vecs = [tuple(x for e in m.entries for x in e) for m in members]
-    group = _group_closure(set(vecs), n) if vecs else {tuple([0] * (2 * n_nodes))}
-    generators = list(vecs)
+    """(group, generators) by scanning every vector in lexicographic order, one test at a time.
+
+    A member joins the generators only when it lies outside the closure
+    of those before it, as a scanned vector does.
+    """
+    group = {tuple([0] * (2 * n_nodes))}
+    generators = []
+    for vec in (tuple(x for e in m.entries for x in e) for m in members):
+        if vec not in group:
+            generators.append(vec)
+            group = group_closure(set(generators), n)
     if len(group) < n ** n_nodes:
         for cand in itertools.product(range(n), repeat=2 * n_nodes):
             if cand in group:
                 continue
             if all(symplectic(cand, g, n) == 0 for g in generators):
                 generators.append(cand)
-                group = _group_closure(set(generators), n)
+                group = group_closure(set(generators), n)
                 if len(group) >= n ** n_nodes:
                     break
     return group, generators
@@ -436,15 +444,27 @@ def commutes_pairwise(members, atol=1e-12):
     return all(np.max(np.abs(x @ y - y @ x)) <= atol for x, y in itertools.combinations(mats, 2))
 
 
-def commutation_graph(labels):
-    """Per-vertex adjacency bitmasks (no self loops) of uniform-dimension labels."""
-    if not labels:
-        return []
+def pure_cluster_labels(n, n_nodes):
+    """All (n^2-1)^N pure N-cluster labels, lexicographic, one label object each."""
+    dims = (n,) * n_nodes
+    pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
+    return [label_from_entries(combo, dims) for combo in itertools.product(pairs, repeat=n_nodes)]
+
+
+def commute_matrix(labels):
+    """Boolean commutation matrix (no self loops) of uniform-dimension labels, by one int64 product."""
     vecs = np.array([[x for e in lab.entries for x in e] for lab in labels], dtype=np.int64)
     a, b = vecs[:, 0::2], vecs[:, 1::2]
     commute = (a @ b.T - b @ a.T) % labels[0].dims[0] == 0
     np.fill_diagonal(commute, False)
-    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in commute]
+    return commute
+
+
+def commutation_graph(labels):
+    """Per-vertex adjacency bitmasks (no self loops) of uniform-dimension labels."""
+    if not labels:
+        return []
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in commute_matrix(labels)]
 
 
 def reflected_gray_codes(n_bits):
@@ -455,8 +475,6 @@ def reflected_gray_codes(n_bits):
 
 def cat_seed_clique(n, n_nodes):
     """Labels with |<cat| U |cat>| = 1 on the aligned cat state, by a phase sum per label."""
-    from weylnet.commuting import pure_cluster_labels
-
     seed = []
     for vi, lab in enumerate(pure_cluster_labels(n, n_nodes)):
         if any(e[0] != lab.entries[0][0] for e in lab.entries):

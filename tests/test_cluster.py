@@ -76,7 +76,6 @@ class TestClusterOperator:
         label = label_from_entries([(0, 0), (2, 1), (0, 0), (1, 1)], (2, 3, 2, 2))
         assert label.support == (1, 3)
         assert label.cluster_size == 2
-        assert not label.is_pure_cluster
 
 
 class TestPartialTrace:
@@ -350,8 +349,10 @@ class TestProductStateTest:
         lambda st: cluster.reduced_purity(st, (0, 0)),
         lambda st: cluster.reduced_entropy(st, (2,)),
         lambda st: cluster.cluster_sum_direct(st, (1, 1)),
+        lambda st: cluster.partial_trace(st.rho, st.dims, (3,)),
+        lambda st: cluster.partial_trace(st.rho, st.dims, (0, 0)),
     ], ids=["partition", "state", "state-negative", "state-repeated", "purity",
-            "purity-repeated", "entropy", "direct-repeated"])
+            "purity-repeated", "entropy", "direct-repeated", "trace", "trace-repeated"])
     def test_bad_nodes_rejected(self, call, pure):
         st = bell_state() if pure else NetworkState.from_rho(bell_state().rho, (2, 2))
         with pytest.raises(InputError, match="distinct and in range"):
@@ -400,3 +401,7 @@ class TestValidationAndCaps:
     def test_correlation_order_cap(self):
         with pytest.raises(InputError):
             cluster.correlation_tensors(bell_state(), 3)
+
+    def test_negative_correlation_order_rejected(self):
+        with pytest.raises(InputError):
+            cluster.correlation_tensors(bell_state(), -1)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import cluster, commuting
+from weylnet import basis, cluster, commuting
 from weylnet.cluster import NetworkState, cluster_operator, label_from_entries
 from weylnet.errors import CapExceeded, InputError
 
@@ -46,6 +47,12 @@ def make_set(entries_list, n):
     dims = (n,) * len(entries_list[0])
     members = tuple(label_from_entries(e, dims) for e in entries_list)
     return commuting.CommutingSet(n=n, n_nodes=len(dims), members=members, method="C-exact")
+
+
+def row_labels(rows, n):
+    """One label per index row (a_1, b_1, ..., a_N, b_N)."""
+    dims = (n,) * (rows.shape[1] // 2)
+    return [label_from_entries(zip(v[0::2], v[1::2]), dims) for v in rows.tolist()]
 
 
 class TestCommuteCheck:
@@ -95,7 +102,7 @@ class TestConstructions:
         for cs in (commuting.construct_method_a(n, n_nodes),
                    commuting.construct_method_b(n, n_nodes)):
             assert cs.verify_pairwise() and oracles.commutes_pairwise(cs.members)
-            assert all(m.is_pure_cluster for m in cs.members)
+            assert all(m.cluster_size == n_nodes for m in cs.members)
 
     @pytest.mark.parametrize("n,n_nodes", [(2, 5), (3, 4), (4, 3), (4, 4)])
     def test_pairwise_index_level(self, n, n_nodes):
@@ -155,8 +162,8 @@ class TestSearch:
 
     def test_cat_seed_is_clique(self):
         for n, n_nodes in [(2, 3), (2, 4), (3, 3)]:
-            labels = commuting.pure_cluster_labels(n, n_nodes)
-            seed = commuting.cat_seed_clique(n, n_nodes)
+            labels = oracles.pure_cluster_labels(n, n_nodes)
+            seed = commuting.cat_seed_clique(commuting._pure_rows(n, n_nodes), n)
             for i, j in itertools.combinations(seed, 2):
                 assert commuting.commute_check(labels[i], labels[j])
 
@@ -228,10 +235,33 @@ class TestCompletionAndEigenstates:
         with pytest.raises(InputError):
             commuting.complete_commuting_group(members, 2, 2)
 
+    @pytest.mark.parametrize("n,n_nodes,method", [(2, 6, "A"), (3, 4, "B"), (4, 3, "A"), (5, 2, "B")])
+    def test_blocked_residual_matches_all_at_once(self, n, n_nodes, method):
+        build = commuting.construct_method_a if method == "A" else commuting.construct_method_b
+        dim = n ** n_nodes
+        with mock.patch.object(commuting, "_RESIDUAL_BLOCK_BYTES", 16 * dim * 5):  # five rows a block
+            eig = commuting.common_eigenstate(build(n, n_nodes), seed=3)
+        group, psi = eig.completion, eig.vector
+        images = basis.apply_products(basis.weyl_factors(group[:, 0::2], group[:, 1::2], (n,) * n_nodes), psi)
+        whole = float(np.max(np.linalg.norm(images - (images @ psi.conj())[:, None] * psi, axis=1)))
+        assert eig.max_residual == whole
+
+    def test_residual_memory_at_the_largest_group(self):
+        # all group images at once would be 4096 x 4096 complex, 268 MB, plus a difference as large
+        cs = commuting.construct_method_b(4, 6)
+        tracemalloc.start()
+        try:
+            eig = commuting.common_eigenstate(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eig.complete and eig.max_residual <= 1e-12
+        assert peak < 100e6
+
     def test_eigenvalues_unit_modulus(self):
         cs = make_set(SIX_SETS_N2[1], 2)
         eig = commuting.common_eigenstate(cs)
-        for label in eig.completion:
+        for label in row_labels(eig.completion, 2):
             op = cluster_operator(label)
             lam = np.vdot(eig.vector, op @ eig.vector)
             assert abs(abs(lam) - 1.0) < 1e-10
@@ -298,7 +328,7 @@ class TestProperties:
         cs = make_set(entries, n)
         eig = commuting.common_eigenstate(cs, seed=seed)
         assert eig.complete and eig.max_residual <= 1e-12
-        assert dense_residual(eig.completion, eig.vector) <= 1e-12
+        assert dense_residual(row_labels(eig.completion, n), eig.vector) <= 1e-12
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]), st.sampled_from(["A", "B"]),
@@ -317,6 +347,23 @@ class TestProperties:
         want = cluster.cluster_sums(NetworkState.from_pure(psi, dims)).values
         assert all(abs(got[s] - want[s]) < 1e-9 for s in want)
 
+    @pytest.mark.parametrize("n,n_nodes", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(method=st.sampled_from(["A", "B"]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_completion_generators_are_independent(self, n, n_nodes, method, seed):
+        # a random subset of a constructed set, in random order
+        build = commuting.construct_method_a if method == "A" else commuting.construct_method_b
+        cset = build(n, n_nodes)
+        rng = np.random.default_rng(seed)
+        members = tuple(cset.members[i] for i in rng.permutation(cset.size)[:rng.integers(cset.size + 1)])
+        group, generators = commuting._complete_group(members, n, n_nodes)
+        for i, g in enumerate(generators):
+            assert g not in oracles.group_closure(generators[:i], n)
+        closure = oracles.group_closure(generators, n)
+        assert closure == set(map(tuple, group.tolist())) == oracles.complete_group(members, n, n_nodes)[0]
+        eig = commuting.common_eigenstate(commuting.CommutingSet(n, n_nodes, members, method), seed=seed)
+        assert dense_residual(row_labels(group, n), eig.vector) <= 1e-12
+
 
 # the full-graph search on (2, 6) runs past 150 000 expansions without finishing
 FULL_SEARCH_ROWS = [row for row in SEARCH_ROWS if row != (2, 6)]
@@ -332,9 +379,9 @@ def node_map(label, node, image):
 class TestOrbitReduction:
     @pytest.mark.parametrize("n,n_nodes", SEARCH_ROWS)
     def test_local_maps_and_transpositions_are_automorphisms(self, n, n_nodes):
-        labels = commuting.pure_cluster_labels(n, n_nodes)
+        labels = oracles.pure_cluster_labels(n, n_nodes)
         index_of = {lab: i for i, lab in enumerate(labels)}
-        commute = commuting.commute_matrix(labels)
+        commute = oracles.commute_matrix(labels)
 
         def s_map(a, b):  # S = [[0,-1],[1,0]]
             return -b % n, a
@@ -353,6 +400,19 @@ class TestOrbitReduction:
             assert sorted(perm) == list(range(len(labels)))
             assert np.array_equal(commute[np.ix_(perm, perm)], commute)
 
+    @pytest.mark.parametrize("n,n_nodes", [(2, 3), (3, 3), (4, 2), (2, 6), (5, 2)])
+    def test_pure_rows_are_the_lexicographic_labels(self, n, n_nodes):
+        labels = oracles.pure_cluster_labels(n, n_nodes)
+        index_of = {lab: i for i, lab in enumerate(labels)}
+        rows = commuting._pure_rows(n, n_nodes)
+        assert rows.tolist() == [[x for e in lab.entries for x in e] for lab in labels]
+        assert commuting._vertices(rows, n) == list(range(len(labels)))
+        for cs in (commuting.construct_method_a(n, n_nodes), commuting.construct_method_b(n, n_nodes)):
+            assert commuting._vertices(commuting._vectors(cs.members), n) == [index_of[m] for m in cs.members]
+        commute = commuting.symplectic_form(rows, rows, n) == 0
+        np.fill_diagonal(commute, False)
+        assert np.array_equal(commute, oracles.commute_matrix(labels))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_node_orbits_are_gcd_classes(self, n):
         orbit = commuting.node_orbits(n)
@@ -363,16 +423,16 @@ class TestOrbitReduction:
         assert by_orbit == by_gcd - {frozenset()}
 
     def test_label_orbits_group_by_sorted_node_classes(self):
-        labels = commuting.pure_cluster_labels(4, 2)
-        orbit = commuting.label_orbits(labels)
-        key = [tuple(sorted(math.gcd(a, b, 4) for a, b in lab.entries)) for lab in labels]
+        rows = commuting._pure_rows(4, 2)
+        orbit = commuting.label_orbits(rows, 4)
+        key = [tuple(sorted(math.gcd(a, b, 4) for a, b in zip(v[0::2], v[1::2]))) for v in rows.tolist()]
         assert len(set(orbit)) == 3
-        for i, j in itertools.combinations(range(len(labels)), 2):
+        for i, j in itertools.combinations(range(len(rows)), 2):
             assert (orbit[i] == orbit[j]) == (key[i] == key[j])
 
     @pytest.mark.parametrize("n,n_nodes", FULL_SEARCH_ROWS)
     def test_reduced_search_matches_full_graph(self, n, n_nodes):
-        labels = commuting.pure_cluster_labels(n, n_nodes)
+        labels = oracles.pure_cluster_labels(n, n_nodes)
         adj = oracles.commutation_graph(labels)
         full, _, full_exhausted = commuting.max_clique(adj, [], commuting.DEFAULT_NODE_BUDGET)
         result = commuting.search_max_commuting(n, n_nodes)

@@ -180,10 +180,11 @@ class TestSymplecticForm:
         assert np.array_equal(got, want)
 
     def test_commute_matrix_memory(self):
-        labels = commuting.pure_cluster_labels(3, 4)
+        # the search's commutation matrix over the 4096 pure (3, 4) label rows
+        rows = commuting._pure_rows(3, 4)
         tracemalloc.start()
         try:
-            commute = commuting.commute_matrix(labels)
+            commute = commuting.symplectic_form(rows, rows, 3) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,7 +223,8 @@ class TestSymplecticForm:
 class TestIndexArithmetic:
     @pytest.mark.parametrize("n, n_nodes", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (4, 3), (5, 2)])
     def test_cat_seed_clique_matches_phase_sums(self, n, n_nodes):
-        assert commuting.cat_seed_clique(n, n_nodes) == oracles.cat_seed_clique(n, n_nodes)
+        rows = commuting._pure_rows(n, n_nodes)
+        assert commuting.cat_seed_clique(rows, n) == oracles.cat_seed_clique(n, n_nodes)
 
     @pytest.mark.parametrize("perm", [(0,), (1, 0), (2, 0, 1), (1, 2, 0), (3, 1, 0, 2), (4, 2, 0, 1, 3)])
     def test_permutation_operator_matches_bitwise_loop(self, perm):
