@@ -46,11 +46,7 @@ for n_nodes in range(1, 7):
 print("\n== conserved collective expectation values, three models ==")
 rho0 = np.zeros((4, 4), dtype=complex)
 rho0[1, 1] = 1.0  # asymmetric start, so phased coefficients are active
-for model, params in (
-    ("foerster", {"omega": 1.0, "c_f": 0.5}),
-    ("renormalization", {"omega_1": 1.1, "omega_2": 0.4, "c_r": 0.3}),
-    ("stimulation", {"g": 1.0, "delta": 0.5}),
-):
+for model, params in collective.MODEL_PARAMS.items():
     inv = collective.hamiltonian_invariants(model, **params)
     report = collective.verify_invariants(inv, rho0, total_time=20.0)
     drifts = ", ".join(f"{name}: {d:.1e}" for name, d in report.max_drift.items())

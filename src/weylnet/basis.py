@@ -447,6 +447,20 @@ def inverse_weyl_transform(coeffs, dims) -> np.ndarray:
     return _shear(t, dims, -1).reshape(u.shape[:nl] + (d, d))
 
 
+def apply_per_node(mat: np.ndarray, t: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Apply a d x d matrix on every base-d digit of the leading axis of t (node 1 first).
+
+    The leading axis has length d^N; any further axes are carried along,
+    so a stack of columns is transformed column by column.
+    """
+    d = mat.shape[0]
+    shape = t.shape
+    for _ in range(n_nodes):
+        # transform the leading node, then rotate it behind the other nodes
+        t = np.moveaxis((mat @ t.reshape(d, -1)).reshape(d, -1, *shape[1:]), 0, 1)
+    return t.reshape(shape)
+
+
 def expand(op, basis: str) -> dict:
     """Coefficient map of ``op`` in the named basis.
 

@@ -392,12 +392,7 @@ def cmd_invariants(model, params, total_time, output):
     """Drift of the conserved collective expectation values of a model."""
     from . import collective
 
-    defaults = {
-        "foerster": {"omega": 1.0, "c_f": 0.5},
-        "renormalization": {"omega_1": 1.1, "omega_2": 0.4, "c_r": 0.3},
-        "stimulation": {"g": 1.0, "delta": 0.5},
-    }[model]
-    kwargs = dict(defaults)
+    kwargs = dict(collective.MODEL_PARAMS[model])
     if params:
         try:
             values = [float(x) for x in params.split(",")]

@@ -31,16 +31,19 @@ FFT over that group's placement coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import as_operator, inverse_weyl_transform, monomial_factor, product_operator, weyl_transform
+from .basis import (apply_per_node, as_operator, inverse_weyl_transform, monomial_factor, product_operator,
+                    weyl_transform)
 from .cluster import NetworkState
 from .coherence import validate_state
-from .errors import InputError
+from .errors import DimensionMismatch, InputError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -74,20 +77,9 @@ class CollectiveLabel:
         return self.alpha + self.beta + self.gamma
 
 
-def _identity_count(counts: tuple[int, ...], n_nodes: int) -> int:
-    """N minus the operator counts, which must be non-negative and sum to at most N."""
-    rest = n_nodes - sum(counts)
-    if min(counts) < 0 or rest < 0:
-        raise InputError(f"counts {counts} must be non-negative with sum <= N={n_nodes}")
-    return rest
-
-
 def multiplicity(alpha: int, beta: int, gamma: int, n_nodes: int) -> int:
     """Omega: number of placements of the multiplicity class on N nodes."""
-    rest = _identity_count((alpha, beta, gamma), n_nodes)
-    return math.factorial(n_nodes) // (
-        math.factorial(alpha) * math.factorial(beta) * math.factorial(gamma) * math.factorial(rest)
-    )
+    return _group("E", (alpha, beta, gamma), n_nodes)[1]
 
 
 def _arrangements(letters: str, counts: tuple[int, ...]) -> list[str]:
@@ -107,11 +99,103 @@ def _arrangements(letters: str, counts: tuple[int, ...]) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the group table shared by the E, F and G families
+# ---------------------------------------------------------------------------
+#
+# A placement is one letter per node from a four-letter alphabet, and its
+# count vector c = (#I, #l1, #l2, #l3) says how often each letter occurs.
+# A family groups placements by a key of c; member b of group g is the
+# phased sum over the group's placements in lexicographic order.
+
+
+class _Family(NamedTuple):
+    letters: str                 # single-node letters in lexicographic order
+    group: Callable              # count vector c -> group, a tuple that sorts in label order
+    label: Callable              # (group, b) -> member label
+    group_count: Callable        # N -> number of groups, in closed form
+
+
+_FAMILIES = {
+    # (alpha, beta, gamma) = counts of X, Y, Z
+    "E": _Family("IXYZ", lambda c: c[1:], lambda g, b: CollectiveLabel(*g, b),
+                 lambda n: (n + 1) * (n + 2) * (n + 3) // 6),
+    # gamma = count of Z, then net flip z = #P - #M; labels (z, gamma, b)
+    "F": _Family("IMPZ", lambda c: (c[3], c[2] - c[1]), lambda g, b: (g[1], g[0], b),
+                 lambda n: (n + 1) ** 2),
+    # m = count of non-identity letters; labels (m, b)
+    "G": _Family("IXYZ", lambda c: (c[1] + c[2] + c[3],), lambda g, b: (*g, b),
+                 lambda n: n + 1),
+}
+
+
 @lru_cache(maxsize=None)
+def _groups(family: str, n_nodes: int) -> dict:
+    """group -> (count vectors, Omega) of the family on N nodes, in label order.
+
+    The O(N^3) count vectors with sum N are collected by group; Omega is
+    the number of placements of the group.
+    """
+    if family not in _FAMILIES:
+        raise InputError(f"unknown family {family!r}; expected one of {', '.join(_FAMILIES)}")
+    if n_nodes < 1:
+        raise InputError(f"a network has at least one node, got N={n_nodes}")
+    table = {}
+    for c in itertools.product(range(n_nodes + 1), repeat=3):
+        if sum(c) <= n_nodes:
+            vector = (n_nodes - sum(c), *c)
+            table.setdefault(_FAMILIES[family].group(vector), []).append(vector)
+    size = math.factorial(n_nodes)
+    return {g: (tuple(vectors), sum(size // math.prod(map(math.factorial, c)) for c in vectors))
+            for g, vectors in sorted(table.items())}
+
+
+def _group(family: str, group: tuple, n_nodes: int) -> tuple:
+    """(count vectors, Omega) of one group of the family."""
+    groups = _groups(family, n_nodes)
+    if group not in groups:
+        raise InputError(f"no {family} group {group} on N={n_nodes} nodes: "
+                         "letter counts must be non-negative with sum <= N")
+    return groups[group]
+
+
+def _members(family: str, n_nodes: int, b_zero_only: bool = False):
+    """(label, group, b) of every family member in label order: groups, then b ascending."""
+    groups = _groups(family, n_nodes)
+    label = _FAMILIES[family].label
+    for g, (_, omega) in groups.items():
+        for b in range(1 if b_zero_only else omega):
+            yield label(g, b), g, b
+
+
+@lru_cache(maxsize=None)
+def _group_placements(family: str, group: tuple, n_nodes: int) -> tuple[str, ...]:
+    """Placements of one group in lexicographic order: the sorted union of the
+    arrangements of its count vectors."""
+    vectors, _ = _group(family, group, n_nodes)
+    letters = _FAMILIES[family].letters
+    return tuple(sorted(s for c in vectors for s in _arrangements(letters, c)))
+
+
 def placements(alpha: int, beta: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
     """Lexicographically ordered placement strings over {I, X, Y, Z}."""
-    rest = _identity_count((alpha, beta, gamma), n_nodes)
-    return tuple(_arrangements("IXYZ", (rest, alpha, beta, gamma)))
+    return _group_placements("E", (alpha, beta, gamma), n_nodes)
+
+
+def f_placements(z: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
+    """All sigma_+/sigma_-/sigma_z placements with net flip z and gamma z's.
+
+    Every (alpha, beta) pair with alpha - beta = z contributes its
+    placements; the joint list is ordered lexicographically and indexed
+    by one permutation label, which keeps the phase transform an
+    invertible DFT and the family complete.
+    """
+    return _group_placements("F", (gamma, z), n_nodes)
+
+
+def g_placements(m: int, n_nodes: int) -> tuple[str, ...]:
+    """All placements of m non-identity factors of any type; 3^m C(N,m)."""
+    return _group_placements("G", (m,), n_nodes)
 
 
 def placement_operator(strings, weights) -> np.ndarray:
@@ -121,8 +205,8 @@ def placement_operator(strings, weights) -> np.ndarray:
     of the product kernel :func:`weylnet.basis.product_operator`.
     """
     lengths = sorted({len(s) for s in strings})
-    if len(lengths) > 1:
-        raise InputError(f"placement strings must have equal length, got lengths {lengths}")
+    if len(lengths) != 1 or lengths[0] < 1:
+        raise InputError(f"placement strings must have one nonzero length, got lengths {lengths}")
     try:
         letters = np.array([[_LETTER_INDEX[ch] for ch in s] for s in strings])
     except KeyError as exc:
@@ -152,12 +236,13 @@ def collective_operator(label: CollectiveLabel, n_nodes: int) -> np.ndarray:
 
 def collective_labels(n_nodes: int, b_zero_only: bool = False):
     """All labels; 4^N in total, (N+1)(N+2)(N+3)/6 with b = 0."""
-    for alpha in range(n_nodes + 1):
-        for beta in range(n_nodes + 1 - alpha):
-            for gamma in range(n_nodes + 1 - alpha - beta):
-                omega = multiplicity(alpha, beta, gamma, n_nodes)
-                for b in ([0] if b_zero_only else range(omega)):
-                    yield CollectiveLabel(alpha, beta, gamma, b)
+    return (label for label, _, _ in _members("E", n_nodes, b_zero_only))
+
+
+def family_operators(family: str, n_nodes: int):
+    """(label, matrix) pairs of a complete family: "E", "F" or "G"."""
+    for label, g, b in _members(family, n_nodes):
+        yield label, _phased_member(_group_placements(family, g, n_nodes), b)
 
 
 def selective_to_collective(p0: int, alpha: int, beta: int, gamma: int, n_nodes: int) -> dict:
@@ -184,41 +269,25 @@ def selective_from_collective(p0: int, alpha: int, beta: int, gamma: int, n_node
 
 
 def _as_rho(state, n_nodes: int | None) -> tuple[np.ndarray, int]:
-    if isinstance(state, NetworkState):
-        if any(d != 2 for d in state.dims):
-            raise InputError("collective operators are defined for two-level nodes")
-        return state.rho, state.n_nodes
-    rho = validate_state(state)
-    nn = int(round(np.log2(rho.shape[0]))) if n_nodes is None else n_nodes
-    if 2 ** nn != rho.shape[0]:
-        raise InputError("operator dimension is not a power of two")
+    if isinstance(state, NetworkState) and any(d != 2 for d in state.dims):
+        raise InputError("collective operators are defined for two-level nodes")
+    rho = state.rho if isinstance(state, NetworkState) else validate_state(state)
+    dim = rho.shape[0]
+    nn = dim.bit_length() - 1 if n_nodes is None else n_nodes
+    if 2 ** nn != dim:
+        raise DimensionMismatch(f"operator dimension {dim} is not a power of two" if n_nodes is None
+                                else f"operator dimension {dim} is not 2^{nn} = {2 ** nn}")
     return rho, nn
 
 
 # ---------------------------------------------------------------------------
-# the placement-group transform shared by the E, F and G families
+# the placement-group transform
 # ---------------------------------------------------------------------------
 #
-# A placement is one letter per node from a four-letter alphabet; ranked
-# lexicographically, the 4^N placements of N nodes are the base-4 numbers
-# with node 1 most significant.  A family member is a phased sum over one
-# group of placements, so a stable sort of the 4^N placements by group
-# turns each group into a contiguous run in rank order, and the members'
-# coefficients are one DFT over that run.
-
-# family -> (single-node letters in lexicographic order, group sort key,
-# member label); key and label read the per-letter counts c of a placement
-_FAMILIES = {
-    # (alpha, beta, gamma) = counts of X, Y, Z
-    "E": ("IXYZ", lambda c, n: (c[1] * (n + 1) + c[2]) * (n + 1) + c[3],
-          lambda c, b: CollectiveLabel(c[1], c[2], c[3], b)),
-    # gamma = count of Z, then net flip z = #P - #M
-    "F": ("IMPZ", lambda c, n: c[3] * (2 * n + 1) + c[2] - c[1] + n,
-          lambda c, b: (c[2] - c[1], c[3], b)),
-    # m = count of non-identity letters
-    "G": ("IXYZ", lambda c, n: n - c[0],
-          lambda c, b: (c[1] + c[2] + c[3], b)),
-}
+# Ranked lexicographically, the 4^N placements of N nodes are the base-4
+# numbers with node 1 most significant.  A stable sort of the 4^N
+# placements by group index turns each group into a contiguous run in
+# rank order, and the members' coefficients are one DFT over that run.
 
 
 @lru_cache(maxsize=None)
@@ -229,71 +298,52 @@ def _letter_coefficients(letters: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _placement_groups(family: str, n_nodes: int) -> tuple[np.ndarray, tuple, tuple]:
+def _placement_groups(family: str, n_nodes: int) -> tuple[np.ndarray, tuple]:
     """Stable sort of the 4^N placements into the family's groups.
 
-    Returns (order, runs, labels): ``order[r]`` is the base-4 placement
-    index at rank r, ``runs`` the (start, stop) ranks of each group in
-    label order, and ``labels[r]`` the family label of rank r, whose phase
-    index is b = r - start.
+    Returns (order, starts): ``order[r]`` is the base-4 placement index at
+    rank r, and group i of :func:`_groups` holds ranks starts[i] to
+    starts[i + 1], member b at rank starts[i] + b.
     """
-    _, group_key, make = _FAMILIES[family]
+    groups = _groups(family, n_nodes)
     size = 4 ** n_nodes
     index = np.arange(size)
     counts = np.zeros((4, size), dtype=np.int64)
     for node in range(n_nodes):
         counts[(index >> (2 * node)) & 3, index] += 1
-    key = group_key(counts, n_nodes)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist()
-    runs = tuple(zip(starts, starts[1:] + [size]))
-    labels = []
-    for start, stop in runs:
-        c = counts[:, order[start]].tolist()
-        labels += [make(c, b) for b in range(stop - start)]
-    return order, runs, tuple(labels)
+    group_index = np.zeros((n_nodes + 1,) * 3, dtype=np.int64)
+    for i, (vectors, _) in enumerate(groups.values()):
+        group_index[tuple(np.array(vectors)[:, 1:].T)] = i
+    order = np.argsort(group_index[counts[1], counts[2], counts[3]], kind="stable")
+    return order, tuple(itertools.accumulate((omega for _, omega in groups.values()), initial=0))
 
 
-def _per_node(mat: np.ndarray, t: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Apply a d x d matrix on every base-d digit of the leading axis of t (node 1 first).
-
-    The leading axis has length d^N; any further axes are carried along,
-    so a stack of columns is transformed column by column.
-    """
-    d = mat.shape[0]
-    shape = t.shape
-    for _ in range(n_nodes):
-        # transform the leading node, then rotate it behind the other nodes
-        t = np.moveaxis((mat @ t.reshape(d, -1)).reshape(d, -1, *shape[1:]), 0, 1)
-    return t.reshape(shape)
-
-
-def _family_transform(op, family: str, n_nodes: int) -> tuple[tuple, np.ndarray]:
-    """Labels and coefficients x with op = sum x_{g,b} (member g,b of the family).
+def _family_transform(op, family: str, n_nodes: int) -> np.ndarray:
+    """Coefficients x in label order with op = sum x_{g,b} (member g,b of the family).
 
     Placements are trace-orthogonal, so placement S carries
     q_S = tr{S^dag op} / tr{S S^dag}, read off the Weyl transform letter by
     letter; within a group q_p = sum_b x_b w^(pb), so x is the group's FFT
     of q divided by Omega.
     """
-    order, runs, labels = _placement_groups(family, n_nodes)
-    t = _letter_coefficients(_FAMILIES[family][0])
+    order, starts = _placement_groups(family, n_nodes)
+    t = _letter_coefficients(_FAMILIES[family].letters)
     norms = np.sum(np.abs(t) ** 2, axis=0) / 2  # tr{L L^dag}
     u = weyl_transform(op, (2,) * n_nodes).ravel()
     # per node, A = (1/2) sum_j u_j U_j gives tr{L^dag A} = (1/2) sum_j conj(T[j, l]) u_j
-    q = _per_node(t.conj().T / (2 * norms[:, None]), u, n_nodes)[order]
-    for start, stop in runs:
+    q = apply_per_node(t.conj().T / (2 * norms[:, None]), u, n_nodes)[order]
+    for start, stop in zip(starts, starts[1:]):
         q[start:stop] = np.fft.fft(q[start:stop]) / (stop - start)
-    return labels, q
+    return q
 
 
 def _family_operator(x: np.ndarray, family: str, n_nodes: int) -> np.ndarray:
     """sum x_{g,b} (member g,b) for coefficients x in label order; inverse of the above."""
-    order, runs, _ = _placement_groups(family, n_nodes)
+    order, starts = _placement_groups(family, n_nodes)
     q = np.empty(4 ** n_nodes, dtype=complex)
-    for start, stop in runs:
+    for start, stop in zip(starts, starts[1:]):
         q[order[start:stop]] = (stop - start) * np.fft.ifft(x[start:stop])
-    u = _per_node(_letter_coefficients(_FAMILIES[family][0]), q, n_nodes)
+    u = apply_per_node(_letter_coefficients(_FAMILIES[family].letters), q, n_nodes)
     return inverse_weyl_transform(u.reshape((2,) * (2 * n_nodes)), (2,) * n_nodes)
 
 
@@ -306,90 +356,21 @@ def decompose_collective(state, n_nodes: int | None = None) -> dict:
     gamma), b ascending within each group.
     """
     rho, nn = _as_rho(state, n_nodes)
-    labels, x = _family_transform(rho, "E", nn)
-    return dict(zip(labels, (x * 2 ** nn).tolist()))
+    x = _family_transform(rho, "E", nn)
+    return dict(zip(collective_labels(nn), (x * 2 ** nn).tolist()))
 
 
 def reconstruct_collective(coeffs: dict, n_nodes: int) -> np.ndarray:
     """Inverse of :func:`decompose_collective`; absent labels count as zero."""
-    labels = _placement_groups("E", n_nodes)[2]
-    rank = dict(zip(labels, range(len(labels))))
-    x = np.zeros(len(labels), dtype=complex)
+    groups = _groups("E", n_nodes)
+    start = dict(zip(groups, _placement_groups("E", n_nodes)[1]))
+    x = np.zeros(4 ** n_nodes, dtype=complex)
     for label, value in coeffs.items():
-        if label not in rank:
+        g = (label.alpha, label.beta, label.gamma) if isinstance(label, CollectiveLabel) else None
+        if g not in groups or label.b >= groups[g][1]:
             raise InputError(f"{label} is not a collective label on {n_nodes} nodes")
-        x[rank[label]] = value
+        x[start[g] + label.b] = value
     return _family_operator(x / 2 ** n_nodes, "E", n_nodes)
-
-
-# ---------------------------------------------------------------------------
-# F and G families
-# ---------------------------------------------------------------------------
-
-def f_labels(n_nodes: int):
-    """(z, gamma) groups: z in [-(N-gamma), N-gamma]; (N+1)^2 groups."""
-    for gamma in range(n_nodes + 1):
-        for z in range(-(n_nodes - gamma), n_nodes - gamma + 1):
-            yield z, gamma
-
-
-@lru_cache(maxsize=None)
-def f_placements(z: int, gamma: int, n_nodes: int) -> tuple[str, ...]:
-    """All sigma_+/sigma_-/sigma_z placements with net flip z and gamma z's.
-
-    Every (alpha, beta) pair with alpha - beta = z contributes its
-    placements; the joint list is ordered lexicographically and indexed
-    by one permutation label, which keeps the phase transform an
-    invertible DFT and the family complete.
-    """
-    _identity_count((abs(z), gamma), n_nodes)
-    out = []
-    for alpha in range(n_nodes + 1):
-        beta = alpha - z
-        if beta < 0 or alpha + beta + gamma > n_nodes:
-            continue
-        out += _arrangements("IMPZ", (n_nodes - alpha - beta - gamma, beta, alpha, gamma))
-    return tuple(sorted(out))
-
-
-def f_operator(z: int, gamma: int, b: int, n_nodes: int) -> np.ndarray:
-    return _phased_member(f_placements(z, gamma, n_nodes), b)
-
-
-def g_labels(n_nodes: int):
-    return range(n_nodes + 1)
-
-
-@lru_cache(maxsize=None)
-def g_placements(m: int, n_nodes: int) -> tuple[str, ...]:
-    """All placements of m non-identity factors of any type; 3^m C(N,m)."""
-    _identity_count((m,), n_nodes)
-    out = []
-    for alpha in range(m + 1):
-        for beta in range(m + 1 - alpha):
-            out += _arrangements("IXYZ", (n_nodes - m, alpha, beta, m - alpha - beta))
-    return tuple(sorted(out))
-
-
-def g_operator(m: int, b: int, n_nodes: int) -> np.ndarray:
-    return _phased_member(g_placements(m, n_nodes), b)
-
-
-def family_operators(family: str, n_nodes: int):
-    """(label, matrix) pairs of a complete family: "E", "F" or "G"."""
-    if family == "E":
-        for label in collective_labels(n_nodes):
-            yield label, collective_operator(label, n_nodes)
-    elif family == "F":
-        for z, gamma in f_labels(n_nodes):
-            for b in range(len(f_placements(z, gamma, n_nodes))):
-                yield (z, gamma, b), f_operator(z, gamma, b, n_nodes)
-    elif family == "G":
-        for m in g_labels(n_nodes):
-            for b in range(len(g_placements(m, n_nodes))):
-                yield (m, b), g_operator(m, b, n_nodes)
-    else:
-        raise InputError(f"unknown family {family!r}")
 
 
 def decompose_in_family(op, family: str, n_nodes: int) -> tuple[dict, float]:
@@ -402,34 +383,30 @@ def decompose_in_family(op, family: str, n_nodes: int) -> tuple[dict, float]:
     The residual is the max-entry error of ``op`` rebuilt from the
     returned coefficients (completeness means ~0).
     """
-    if family not in _FAMILIES:
-        raise InputError(f"unknown family {family!r}")
     m = as_operator(op, 2 ** n_nodes)
-    labels, x = _family_transform(m, family, n_nodes)
+    x = _family_transform(m, family, n_nodes)
     residual = float(np.max(np.abs(_family_operator(x, family, n_nodes) - m)))
-    return dict(zip(labels, x.tolist())), residual
+    return dict(zip((label for label, _, _ in _members(family, n_nodes)), x.tolist())), residual
+
+
+def _b_zero_family(name: str) -> str:
+    """The family of a b = 0 operator count: "E0", "F0" or "G0"."""
+    if name[-1:] != "0" or name[:-1] not in _FAMILIES:
+        raise InputError(f"unknown family {name!r}; expected one of "
+                         f"{', '.join(f + '0' for f in _FAMILIES)}")
+    return name[:-1]
 
 
 def count_parameters(family: str, n_nodes: int) -> int:
-    """Closed-form count of b = 0 operators: E, F, G families."""
-    if family in ("E0", "E"):
-        return (n_nodes + 1) * (n_nodes + 2) * (n_nodes + 3) // 6
-    if family in ("F0", "F"):
-        return (n_nodes + 1) ** 2
-    if family in ("G0", "G"):
-        return n_nodes + 1
-    raise InputError(f"unknown family {family!r}")
+    """Closed-form count of b = 0 operators, one per group: "E0", "F0" or "G0"."""
+    name = _b_zero_family(family)
+    _groups(name, n_nodes)  # refuses N < 1
+    return _FAMILIES[name].group_count(n_nodes)
 
 
 def enumerate_parameters(family: str, n_nodes: int) -> int:
-    """The same count by direct enumeration of the b = 0 labels."""
-    if family in ("E0", "E"):
-        return sum(1 for _ in collective_labels(n_nodes, b_zero_only=True))
-    if family in ("F0", "F"):
-        return sum(1 for _ in f_labels(n_nodes))
-    if family in ("G0", "G"):
-        return len(list(g_labels(n_nodes)))
-    raise InputError(f"unknown family {family!r}")
+    """The same count by direct enumeration of the groups."""
+    return len(_groups(_b_zero_family(family), n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +436,14 @@ def _e(alpha, beta, gamma, b=0) -> CollectiveLabel:
     return CollectiveLabel(alpha, beta, gamma, b)
 
 
+#: model -> its parameters, with the values the demos and the invariants command use
+MODEL_PARAMS = {
+    "foerster": {"omega": 1.0, "c_f": 0.5},
+    "renormalization": {"omega_1": 1.1, "omega_2": 0.4, "c_r": 0.3},
+    "stimulation": {"g": 1.0, "delta": 0.5},
+}
+
+
 def hamiltonian_invariants(model: str, **params) -> InvariantSet:
     """Two-node models with their conserved collective expectation values.
 
@@ -474,6 +459,11 @@ def hamiltonian_invariants(model: str, **params) -> InvariantSet:
     square, and a cubic form that can only be nonzero when permutation
     symmetry was broken beforehand.
     """
+    if model not in MODEL_PARAMS:
+        raise InputError(f"unknown model {model!r}; expected {'|'.join(MODEL_PARAMS)}")
+    if set(params) != set(MODEL_PARAMS[model]):
+        raise InputError(f"{model} takes parameters {', '.join(MODEL_PARAMS[model])}, "
+                         f"got {', '.join(params) or 'none'}")
     if model == "foerster":
         omega, c_f = params["omega"], params["c_f"]
         h = omega / 2 * collective_operator(_e(0, 0, 1), 2) + \
@@ -493,7 +483,7 @@ def hamiltonian_invariants(model: str, **params) -> InvariantSet:
             InvariantExpression("E_002_0", ((1.0, _e(0, 0, 2)),)),
             InvariantExpression("E_001_1", ((1.0, _e(0, 0, 1, b=1)),)),
         )
-    elif model == "stimulation":
+    else:
         g, delta = params["g"], params["delta"]
         h = g / 2 * collective_operator(_e(1, 0, 0), 2) + \
             delta / 2 * collective_operator(_e(0, 0, 1), 2)
@@ -514,8 +504,6 @@ def hamiltonian_invariants(model: str, **params) -> InvariantSet:
                 (-g ** 2 * delta ** 2, _e(2, 0, 0)),
             )),
         )
-    else:
-        raise InputError(f"unknown model {model!r}; expected foerster|renormalization|stimulation")
     return InvariantSet(model=model, hamiltonian=h, n_nodes=2, expressions=exprs)
 
 
@@ -544,6 +532,8 @@ def verify_invariants(inv: InvariantSet, rho0, total_time: float) -> DriftReport
     diagonalization roundoff so drift measures formula correctness, not
     integrator error.
     """
+    if not math.isfinite(total_time):
+        raise InputError(f"total_time must be finite, got {total_time}")
     rho = validate_state(rho0)
     vals, vecs = np.linalg.eigh(inv.hamiltonian)
     coeffs0 = decompose_collective(rho, inv.n_nodes)

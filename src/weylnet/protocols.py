@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, as_operator, weyl_matrix
+from .basis import WeylIndex, apply_per_node, as_operator, weyl_matrix
 from .errors import CapExceeded, DimensionMismatch, InputError
 
 #: spectral trace tolerance for echo Hamiltonians
@@ -302,8 +302,6 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
     dense operator and no diagonalization.  ``psi0`` is a state of
     length 2^N or a stack of them as columns.
     """
-    from .collective import _per_node
-
     check_collective_drive(m, n_nodes)
     dim = 2 ** n_nodes
     psi = np.asarray(psi0, dtype=complex)
@@ -314,10 +312,10 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
         raise InputError("pulse times must be finite")
     index = np.arange(dim)
     lam = _drive_eigenvalues(m, n_nodes, sum((index >> node) & 1 for node in range(n_nodes)))
-    x = _per_node(HADAMARD, psi, n_nodes)
+    x = apply_per_node(HADAMARD, psi, n_nodes)
     phases = np.exp(-1j * np.multiply.outer(times, lam))
     phases = phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
-    return np.stack([_per_node(HADAMARD, p * x, n_nodes) / dim for p in phases])
+    return np.stack([apply_per_node(HADAMARD, p * x, n_nodes) / dim for p in phases])
 
 
 def _drive_eigenvalues(m: int, n_nodes: int, weight):

@@ -39,9 +39,7 @@ from weylnet.collective import (
     SIGMA_Z,
     CollectiveLabel,
     collective_labels,
-    f_labels,
     f_placements,
-    g_labels,
     g_placements,
     multiplicity,
     placements,
@@ -107,6 +105,18 @@ def f_operator(z, gamma, b, n_nodes):
 
 def g_operator(m, b, n_nodes):
     return phased_member(g_placements(m, n_nodes), b)
+
+
+def f_labels(n_nodes):
+    """(z, gamma) groups of the F family: z in [-(N-gamma), N-gamma]; (N+1)^2 groups."""
+    for gamma in range(n_nodes + 1):
+        for z in range(-(n_nodes - gamma), n_nodes - gamma + 1):
+            yield z, gamma
+
+
+def g_labels(n_nodes):
+    """Operator counts m of the G family."""
+    return range(n_nodes + 1)
 
 
 def family_operators(family, n_nodes):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from weylnet import collective
-from weylnet.cluster import kron_all
+from weylnet.cluster import NetworkState, kron_all
 from weylnet.collective import (
     ID2,
     SIGMA_X,
@@ -21,7 +21,7 @@ from weylnet.collective import (
     placements,
     reconstruct_collective,
 )
-from weylnet.errors import InputError
+from weylnet.errors import DimensionMismatch, InputError
 from weylnet.protocols import hermitian_expm
 from weylnet.symmetry import permutation_operator
 
@@ -55,34 +55,43 @@ class TestPlacements:
 
     @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5])
     def test_f_and_g_match_permutation_oracle(self, n_nodes):
-        for z, gamma in collective.f_labels(n_nodes):
+        for z, gamma in oracles.f_labels(n_nodes):
             expected = []
             for plus in range(n_nodes + 1):
                 minus, rest = plus - z, n_nodes - 2 * plus + z - gamma
                 if minus >= 0 and rest >= 0:
                     expected += oracles.arrangements("I" * rest + "M" * minus + "P" * plus + "Z" * gamma)
             assert collective.f_placements(z, gamma, n_nodes) == tuple(sorted(expected))
-        for m in collective.g_labels(n_nodes):
+        for m in oracles.g_labels(n_nodes):
             expected = []
             for a in range(m + 1):
                 for b in range(m + 1 - a):
                     expected += oracles.arrangements("I" * (n_nodes - m) + "X" * a + "Y" * b + "Z" * (m - a - b))
             assert collective.g_placements(m, n_nodes) == tuple(sorted(expected))
 
-    @pytest.mark.parametrize("build", [
-        lambda: placements(-1, 0, 0, 3),
-        lambda: placements(2, 1, 1, 3),
-        lambda: collective.multiplicity(-1, 0, 0, 3),
-        lambda: collective.selective_to_collective(0, -1, 0, 0, 3),
-        lambda: collective.f_placements(9, 0, 3),
-        lambda: collective.f_placements(-2, 2, 3),
-        lambda: collective.g_placements(5, 3),
-        lambda: collective.g_placements(-1, 3),
-        lambda: collective.g_operator(5, 0, 3),
+    @pytest.mark.parametrize("build,match", [
+        (lambda: placements(-1, 0, 0, 3), "counts"),
+        (lambda: placements(2, 1, 1, 3), "counts"),
+        (lambda: collective.multiplicity(-1, 0, 0, 3), "counts"),
+        (lambda: collective.selective_to_collective(0, -1, 0, 0, 3), "counts"),
+        (lambda: collective.f_placements(9, 0, 3), "counts"),
+        (lambda: collective.f_placements(-2, 2, 3), "counts"),
+        (lambda: collective.g_placements(5, 3), "counts"),
+        (lambda: collective.g_placements(-1, 3), "counts"),
+        (lambda: collective_operator(CollectiveLabel(0, 0, 0, 0), 0), "N=0"),
+        (lambda: list(collective.family_operators("E", 0)), "N=0"),
+        (lambda: collective.placement_operator([], []), r"lengths \[\]"),
+        (lambda: collective.placement_operator([""], [1.0]), r"lengths \[0\]"),
+        (lambda: collective.count_parameters("E0", -2), "N=-2"),
+        (lambda: collective.enumerate_parameters("E0", -2), "N=-2"),
+        (lambda: collective.count_parameters("E", 3), "'E'"),
+        (lambda: collective.enumerate_parameters("H0", 3), "'H0'"),
     ], ids=["placements-negative", "placements-over-N", "multiplicity", "selective-to-collective",
-            "f-net-flip", "f-flip-and-gamma", "g-over-N", "g-negative", "g-operator"])
-    def test_out_of_range_counts_rejected(self, build):
-        with pytest.raises(InputError, match="counts"):
+            "f-net-flip", "f-flip-and-gamma", "g-over-N", "g-negative", "operator-no-nodes",
+            "family-no-nodes", "placement-operator-empty", "placement-operator-no-nodes",
+            "count-negative-N", "enumerate-negative-N", "count-unknown-name", "enumerate-unknown-name"])
+    def test_out_of_range_counts_rejected(self, build, match):
+        with pytest.raises(InputError, match=match):
             build()
 
     def test_large_classes_without_factorial_work(self):
@@ -186,6 +195,14 @@ class TestDecomposition:
         rho[1, 1] = 1.0  # |01><01|
         coeffs = decompose_collective(rho, 2)
         assert abs(coeffs[CollectiveLabel(0, 0, 1, 1)]) > 0.5
+
+    def test_dimension_must_match_node_count(self):
+        with pytest.raises(DimensionMismatch, match=r"dimension 4 is not 2\^3 = 8"):
+            decompose_collective(np.eye(4) / 4, 3)
+        with pytest.raises(InputError, match="dimension 3 is not a power of two"):
+            decompose_collective(np.eye(3) / 3)
+        with pytest.raises(DimensionMismatch, match=r"dimension 4 is not 2\^3 = 8"):
+            decompose_collective(NetworkState.from_rho(np.eye(4) / 4, (2, 2)), 3)
 
     def test_maximally_mixed(self):
         coeffs = decompose_collective(np.eye(4) / 4, 2)
@@ -342,3 +359,17 @@ class TestModelInvariants:
     def test_unknown_model_rejected(self):
         with pytest.raises(InputError):
             collective.hamiltonian_invariants("unknown")
+
+    @pytest.mark.parametrize("params,named", [
+        ({"omega": 1.0}, "c_f"),
+        ({"omega": 1.0, "c_f": 0.5, "gamma": 2.0}, "gamma"),
+    ], ids=["missing", "unknown"])
+    def test_model_parameters_checked(self, params, named):
+        with pytest.raises(InputError, match=named):
+            collective.hamiltonian_invariants("foerster", **params)
+
+    @pytest.mark.parametrize("total_time", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, total_time):
+        inv = collective.hamiltonian_invariants("stimulation", g=1.0, delta=0.5)
+        with pytest.raises(InputError, match="total_time"):
+            collective.verify_invariants(inv, np.eye(4) / 4, total_time)

@@ -423,6 +423,12 @@ class TestCliCommands:
         assert result.exit_code == 2, result.output
         assert "--params" in result.output
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_invariants_non_finite_time_exits_2(self, runner, value):
+        result = runner.invoke(main, ["invariants", "--model", "foerster", "--time", value])
+        assert result.exit_code == 2, result.output
+        assert "total_time" in result.output
+
     @pytest.mark.parametrize("nodes", ["0", "-2"])
     def test_symmetry_nonpositive_nodes_exits_2(self, runner, nodes):
         result = runner.invoke(main, ["symmetry", "--nodes", nodes])

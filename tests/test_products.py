@@ -37,15 +37,11 @@ def random_monomial(n, rng):
     return m
 
 
-def member_arguments(builder, n_nodes):
-    """Arguments of ``builder`` for every member of its family on n_nodes."""
-    if builder == "collective_operator":
-        return [(lab, n_nodes) for lab in collective.collective_labels(n_nodes)]
-    if builder == "f_operator":
-        return [(z, g, b, n_nodes) for z, g in collective.f_labels(n_nodes)
-                for b in range(len(collective.f_placements(z, g, n_nodes)))]
-    return [(m, b, n_nodes) for m in collective.g_labels(n_nodes)
-            for b in range(len(collective.g_placements(m, n_nodes)))]
+def oracle_member(family, label, n_nodes):
+    """Dense oracle of the family member with the given label."""
+    if family == "E":
+        return oracles.collective_operator(label, n_nodes)
+    return (oracles.f_operator if family == "F" else oracles.g_operator)(*label, n_nodes)
 
 
 class TestKernel:
@@ -116,13 +112,16 @@ class TestKernel:
 
 class TestBuilders:
     @PROPERTY
-    @given(st.sampled_from(["collective_operator", "f_operator", "g_operator"]),
-           st.integers(1, 5), st.data())
-    def test_family_members_match_kronecker(self, builder, n_nodes, data):
-        members = member_arguments(builder, n_nodes)
-        for args in data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
-            got = getattr(collective, builder)(*args)
-            assert np.max(np.abs(got - getattr(oracles, builder)(*args))) < TOL, args
+    @given(st.sampled_from("EFG"), st.integers(1, 5), st.data())
+    def test_family_members_match_kronecker(self, family, n_nodes, data):
+        ranks = set(data.draw(st.lists(st.integers(0, 4 ** n_nodes - 1), min_size=1, max_size=3)))
+        for rank, (label, got) in enumerate(collective.family_operators(family, n_nodes)):
+            if rank in ranks:
+                assert np.max(np.abs(got - oracle_member(family, label, n_nodes))) < TOL, label
+                if family == "E":
+                    assert np.array_equal(collective.collective_operator(label, n_nodes), got)
+            if rank == max(ranks):
+                break
 
     @PROPERTY
     @given(st.integers(1, 5), st.data())
