@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -464,6 +465,9 @@ def hamiltonian_invariants(model: str, **params) -> InvariantSet:
     if set(params) != set(MODEL_PARAMS[model]):
         raise InputError(f"{model} takes parameters {', '.join(MODEL_PARAMS[model])}, "
                          f"got {', '.join(params) or 'none'}")
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise InputError(f"{model} parameter {name} must be a finite real number, got {value!r}")
     if model == "foerster":
         omega, c_f = params["omega"], params["c_f"]
         h = omega / 2 * collective_operator(_e(0, 0, 1), 2) + \
@@ -534,13 +538,13 @@ def verify_invariants(inv: InvariantSet, rho0, total_time: float) -> DriftReport
     """
     if not math.isfinite(total_time):
         raise InputError(f"total_time must be finite, got {total_time}")
+    from .protocols import hermitian_expm
+
     rho = validate_state(rho0)
-    vals, vecs = np.linalg.eigh(inv.hamiltonian)
     coeffs0 = decompose_collective(rho, inv.n_nodes)
     at_zero = {e.name: e.evaluate(coeffs0) for e in inv.expressions}
     drift = {e.name: 0.0 for e in inv.expressions}
-    for t in np.linspace(0.0, total_time, 81)[1:]:
-        u = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+    for u in hermitian_expm(inv.hamiltonian, np.linspace(0.0, total_time, 81)[1:]):
         coeffs = decompose_collective(u @ rho @ u.conj().T, inv.n_nodes)
         for e in inv.expressions:
             drift[e.name] = max(drift[e.name], abs(e.evaluate(coeffs) - at_zero[e.name]))

@@ -6,6 +6,7 @@ The echo protocol interleaves free evolution with the cyclic
 permutation of the Hamiltonian's eigenstates: after n rounds every
 eigenstate has spent equal time at every energy, so a traceless
 spectrum accumulates zero net phase and any initial state returns.
+Both echoes take their residuals from the spectrum in cycle order.
 
 hbar = 1; a Hamiltonian segment applies exp(-i H dt).
 """
@@ -13,6 +14,7 @@ hbar = 1; a Hamiltonian segment applies exp(-i H dt).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,14 +22,13 @@ import numpy as np
 from .basis import WeylIndex, apply_per_node, as_operator, weyl_matrix
 from .errors import CapExceeded, DimensionMismatch, InputError
 
-#: spectral trace tolerance for echo Hamiltonians
-TRACE_ATOL = 1e-10
 
-
-def hermitian_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) through the spectral decomposition (h hermitian)."""
+def hermitian_expm(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) through the spectral decomposition (h hermitian); for a
+    1-D array of times, the stack of exponentials from one ``eigh``."""
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    phases = np.exp(-1j * vals * np.expand_dims(t, -1))
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray | None = None) -> float:
@@ -39,10 +40,37 @@ def phase_distance(u: np.ndarray, v: np.ndarray | None = None) -> float:
     if v is None:
         v = np.eye(u.shape[0], dtype=complex)
     overlap = np.trace(v.conj().T @ u)
-    if abs(overlap) < 1e-300:
-        return float(np.linalg.norm(u - v, 2))
-    phase = overlap / abs(overlap)
+    phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
     return float(np.linalg.norm(u - phase * v, 2))
+
+
+def _spectral_phase_distance(eigenvalues, multiplicities=None) -> float:
+    """phase_distance(U) of a normal U from its eigenvalues: the phase of the
+    trace (the eigenvalue sum, with ``multiplicities`` if given), then the
+    largest eigenvalue deviation from it, which is the 2-norm."""
+    overlap = np.sum(eigenvalues) if multiplicities is None else np.dot(multiplicities, eigenvalues)
+    phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
+    return float(np.max(np.abs(eigenvalues - phase)))
+
+
+def _cycle_eigenvalues(energies, dt: float) -> np.ndarray:
+    """Eigenvalues of one echo period from the n energies in cycle order.
+
+    A period is n rounds of evolution for dt/n, each followed by the gate
+    that moves every eigenstate one place on: a permutation times phases.
+    The eigenstate at place k collects exp(-i e_j dt/n) at j = k, k+1, ...
+    and returns with the product of all n phases, in O(n^2) overall.
+    """
+    phases = np.exp(-1j * energies * (dt / len(energies)))
+    period = phases
+    for j in range(1, len(phases)):
+        period = period * np.roll(phases, -j)
+    return period
+
+
+def _check_real(value, what: str):
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +88,7 @@ class Segment:
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise InputError("segment operator must be square")
-        if not np.isfinite(self.duration):
-            raise InputError("segment duration must be finite")
+        _check_real(self.duration, "segment duration")
         if self.kind == "hamiltonian":
             if self.duration < 0:
                 raise InputError("negative duration")
@@ -163,54 +190,40 @@ class EchoReport:
     pulse_count: int  # n(n-1) selective two-level pulses per period
 
 
-def cyclic_permutation(h: np.ndarray) -> np.ndarray:
-    """The eigenstate-cycling unitary of a hermitian h.
-
-    Diagonal h uses the computational shift directly; otherwise the
-    shift is conjugated into the (deterministically ordered) eigenbasis.
-    """
-    n = h.shape[0]
-    shift = weyl_matrix(WeylIndex(n - 1, 0, n))
-    if np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14:
-        return shift
-    _, vecs = np.linalg.eigh(h)
-    return vecs @ shift @ vecs.conj().T
-
-
 def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoReport]:
     """Evolution-suppressing schedule (C U_H(dt/n))^n, repeated ``cycles`` times.
 
+    C is the shift, conjugated into the eigenbasis unless H is diagonal.
     Requires a traceless Hamiltonian; a violating input is rejected with
     the trace shift that would fix it.  The schedule repeats one
-    Hamiltonian segment and one gate segment.  The per-period pulse
-    cost is n(n-1) state-selective two-level pulses (n applications of
-    the (n-1)-pulse cyclic permutation).
+    Hamiltonian and one gate segment; both residuals come from the
+    spectrum, at one ``eigh`` per echo (none for diagonal H).  The
+    per-period pulse cost is n(n-1) state-selective two-level pulses
+    (n applications of the (n-1)-pulse cyclic permutation).
     """
-    if cycles < 1:
-        raise InputError(f"echo needs at least one cycle, got {cycles}")
+    if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
+        raise InputError(f"echo needs a whole number of cycles >= 1, got {cycles!r}")
     h = as_operator(h)
     n = h.shape[0]
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise InputError("echo Hamiltonian must be hermitian")
+    shift = weyl_matrix(WeylIndex(n - 1, 0, n))
+    if np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14:
+        energies, gate = np.diag(h).real, shift
+    else:
+        energies, vecs = np.linalg.eigh(h)
+        gate = vecs @ shift @ vecs.conj().T
     tr = complex(np.trace(h))
-    if abs(tr) > TRACE_ATOL * max(1.0, float(np.linalg.norm(h, 2))):
+    if abs(tr) > 1e-10 * max(1.0, float(np.max(np.abs(energies)))):
         raise InputError(
             f"echo requires a traceless Hamiltonian; shift by {-tr / n:.6g} * identity first")
-    pair = [Segment("hamiltonian", h, dt / n), Segment("gate", cyclic_permutation(h), 0.0)]
-    schedule = PulseSchedule(pair * (cycles * n))
-    u_period = np.eye(n, dtype=complex)
-    for step in _segment_unitaries(schedule.segments[: 2 * n]):
-        u_period = step @ u_period
-    u_total = np.linalg.matrix_power(u_period, cycles)
-    report = EchoReport(
-        n=n,
-        dt=dt,
-        cycles=cycles,
-        residual=phase_distance(u_period),
-        stroboscopic_residual=phase_distance(u_total),
-        pulse_count=n * (n - 1) * cycles,
-    )
-    return schedule, report
+    pair = [Segment("hamiltonian", h, dt / n), Segment("gate", gate, 0.0)]
+    # the shift sends |k> to |k-1>, so the cycle visits the energies in reverse
+    period = _cycle_eigenvalues(energies[::-1], dt)
+    report = EchoReport(n=n, dt=dt, cycles=cycles, residual=_spectral_phase_distance(period),
+                        stroboscopic_residual=_spectral_phase_distance(period ** cycles),
+                        pulse_count=n * (n - 1) * cycles)
+    return PulseSchedule(pair * (cycles * n)), report
 
 
 def cyclic_to_pi_pulses(n: int) -> list[np.ndarray]:
@@ -222,13 +235,8 @@ def cyclic_to_pi_pulses(n: int) -> list[np.ndarray]:
     """
     if n < 2:
         raise InputError("need n >= 2")
-    pulses = []
-    for k in range(n - 1):
-        swap = np.eye(n, dtype=complex)
-        swap[k, k] = swap[k + 1, k + 1] = 0.0
-        swap[k, k + 1] = swap[k + 1, k] = 1.0
-        pulses.append(swap)
-    return pulses
+    # the identity with rows k and k + 1 exchanged
+    return [np.eye(n, dtype=complex)[np.r_[:k, k + 1, k, k + 2:n]] for k in range(n - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +254,7 @@ class GraySequence:
         return [format(int(c), "b").zfill(self.n_bits) for c in self.codes]
 
     def hamming_check(self) -> bool:
-        nxt = np.roll(self.codes, -1)
-        diff = np.bitwise_xor(self.codes, nxt)
+        diff = self.codes ^ np.roll(self.codes, -1)
         # power of two <=> exactly one bit differs
         return bool(np.all(diff != 0) and np.all(np.bitwise_and(diff, diff - 1) == 0))
 
@@ -328,19 +335,15 @@ def collective_control_phase_distance(m: int, alpha_t: float, n_nodes: int) -> f
     """phase_distance(collective_control(m, alpha_t, n_nodes)) from the drive's spectrum.
 
     The pulse has eigenvalue exp(-i alpha_t lambda_w) on the C(N, w)
-    x-basis states of Hamming weight w, so its trace is
-    sum_w C(N, w) exp(-i alpha_t lambda_w) and, U being normal, the
-    2-norm of U - e^(i phi) 1 is max_w |exp(-i alpha_t lambda_w) - e^(i phi)|.
-    O(N), with no 2^N array.
+    x-basis states of Hamming weight w, so the distance follows from
+    these N + 1 eigenvalues and their multiplicities: O(N), with no 2^N
+    array.
     """
     check_collective_drive(m, n_nodes)
-    if not math.isfinite(alpha_t):
-        raise InputError("pulse area must be finite")
+    _check_real(alpha_t, "pulse area")
     weight = np.arange(n_nodes + 1)
     eigenvalues = np.exp(-1j * alpha_t * _drive_eigenvalues(m, n_nodes, weight))
-    overlap = np.dot([math.comb(n_nodes, w) for w in weight], eigenvalues)
-    phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
-    return float(np.max(np.abs(eigenvalues - phase)))
+    return _spectral_phase_distance(eigenvalues, [math.comb(n_nodes, w) for w in weight])
 
 
 def collective_control(m: int, alpha_t: float, n_nodes: int) -> np.ndarray:
@@ -396,19 +399,24 @@ def network_zz_hamiltonian(n_nodes: int, couplings, frequencies=None) -> np.ndar
     """Diagonal network model: pair couplings on sigma_z (x) sigma_z plus
     optional local sigma_z/2 terms.
 
-    ``couplings`` maps node pairs (mu, nu) to strengths; missing pairs
-    couple with 0.
+    ``couplings`` maps node pairs (mu, nu) with mu < nu to finite real
+    strengths; missing pairs couple with 0.
     """
     from .collective import placement_operator
 
     terms = list(dict(couplings).items())  # ((mu, nu), c), then ((mu,), w/2)
-    for (mu, nu), _ in terms:
-        if not (0 <= mu < nu < n_nodes):
-            raise InputError(f"bad node pair ({mu},{nu})")
+    for nodes, c in terms:
+        if not (isinstance(nodes, tuple) and len(nodes) == 2 and all(isinstance(i, numbers.Integral) for i in nodes)
+                and 0 <= nodes[0] < nodes[1] < n_nodes):
+            raise InputError(f"coupling keys must be node pairs (mu, nu) with 0 <= mu < nu < {n_nodes}, "
+                             f"got {nodes!r}")
+        _check_real(c, f"coupling {nodes}")
     if frequencies is not None:
         if len(frequencies) > n_nodes:
             raise InputError(f"{len(frequencies)} frequencies for {n_nodes} nodes")
-        terms += [((mu,), w / 2) for mu, w in enumerate(frequencies)]
+        for mu, w in enumerate(frequencies):
+            _check_real(w, f"frequency of node {mu}")
+            terms.append(((mu,), w / 2))
     if not terms:
         return np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
     strings = ["".join("Z" if i in nodes else "I" for i in range(n_nodes)) for nodes, _ in terms]
@@ -421,33 +429,18 @@ def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None)
     The interaction shifts the spectrum while the eigenstates stay the
     computational product states; cycling them along the Hamming-1
     sequence with free evolution of dt/2^N per step nulls the total
-    phase because the full spectrum is traceless.
+    phase because the full spectrum is traceless.  The residual comes
+    from the diagonal in Gray order (:func:`_cycle_eigenvalues`).
     """
     if n_nodes > 6:
         raise CapExceeded("network echo supported for N <= 6")
+    _check_real(dt, "echo dt")
     h = network_zz_hamiltonian(n_nodes, couplings, frequencies)
-    dim = 2 ** n_nodes
-
-    # eigenstates must be the computational product states
-    off = h - np.diag(np.diag(h))
-    eigen_product = bool(np.max(np.abs(off)) < 1e-12)
-
     seq = gray_sequence(n_nodes)
-    codes = [int(c) for c in seq.codes]
-    single_node = seq.hamming_check()
-    perm = np.zeros((dim, dim), dtype=complex)
-    for i, c in enumerate(codes):
-        perm[codes[(i + 1) % dim], c] = 1.0
-
-    step = hermitian_expm(h, dt / dim)
-    u = np.eye(dim, dtype=complex)
-    for _ in range(dim):
-        u = perm @ step @ u
+    energies = np.diag(h).real
     return NetworkEchoReport(
-        n_nodes=n_nodes,
-        cycle_length=dim,
-        residual=phase_distance(u),
-        eigenstates_product=eigen_product,
-        single_node_steps=single_node,
-        pulses_per_period=dim,
-    )
+        n_nodes=n_nodes, cycle_length=len(energies), pulses_per_period=len(energies),
+        residual=_spectral_phase_distance(_cycle_eigenvalues(energies[seq.codes], dt)),
+        # eigenstates must be the computational product states
+        eigenstates_product=bool(np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-12),
+        single_node_steps=seq.hamming_check())

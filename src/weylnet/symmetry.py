@@ -320,6 +320,8 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
     eigenvector of every b = 0 collective operator.  The symmetric
     Hamiltonian has normal random weights from seed 0.
     """
+    from .protocols import hermitian_expm
+
     n_nodes = 4
     dim = 16
     projectors = spin_projectors(n_nodes)
@@ -342,12 +344,10 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
     h = np.zeros((dim, dim), dtype=complex)
     for lab in collective_labels(n_nodes, b_zero_only=True):
         h += rng.normal() * collective_operator(lab, n_nodes)
-    vals, vecs = np.linalg.eigh(h)
     p1 = projectors[1.0]
     times = np.linspace(0.0, total_time, steps + 1)
     leakage = 0.0
-    for t in times:
-        u = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
+    for u in hermitian_expm(h, times):
         psi_t = u @ psi1
         leakage = max(leakage, abs(1.0 - float(np.real(psi_t.conj() @ p1 @ psi_t))))
 

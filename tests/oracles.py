@@ -18,7 +18,10 @@ The operator JSON codec builds one dict per matrix entry and lets
 Commuting sets are checked by dense commutators of their members, the
 pure cluster labels are one label object each, the commutation graph
 comes from one int64 product of their index vectors, and the Gray
-sequence from its closed form k ^ (k >> 1).
+sequence from its closed form k ^ (k >> 1).  Echo periods are products
+of dense segment unitaries: 2n n x n matrices and a matrix power for
+the single-system echo, a dense Gray permutation matrix times the step
+2^N times for the network echo.
 They are slow and exist only as test oracles.
 """
 
@@ -45,7 +48,7 @@ from weylnet.collective import (
     placements,
 )
 from weylnet.errors import InputError
-from weylnet.protocols import hermitian_expm
+from weylnet.protocols import hermitian_expm, phase_distance
 from weylnet.symmetry import SpinClass, _deterministic_span
 
 LETTERS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z, "P": SIGMA_PLUS, "M": SIGMA_MINUS}
@@ -199,6 +202,41 @@ def network_zz_hamiltonian(n_nodes, couplings, frequencies=None):
             mats[mu] = SIGMA_Z
             h += (w / 2) * kron_all(mats)
     return h
+
+
+def echo_residuals(h, dt, cycles=1):
+    """(residual, stroboscopic residual) of the echo from dense period products.
+
+    The gate is the shift, conjugated into the eigenbasis unless h is
+    diagonal; the period multiplies n (gate, step) pairs and the
+    stroboscopic unitary is its ``cycles``-th matrix power.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0]
+    gate = weyl_matrix(n - 1, 0, n)
+    if np.max(np.abs(h - np.diag(np.diag(h)))) >= 1e-14:
+        _, vecs = np.linalg.eigh(h)
+        gate = vecs @ gate @ vecs.conj().T
+    step = hermitian_expm(h, dt / n)
+    u = np.eye(n, dtype=complex)
+    for _ in range(n):
+        u = gate @ step @ u
+    return phase_distance(u), phase_distance(np.linalg.matrix_power(u, cycles))
+
+
+def network_echo_residual(n_nodes, couplings, dt, frequencies=None):
+    """Residual of the Gray-cycle echo: (P exp(-i h dt/2^N))^(2^N) with P the dense cycle."""
+    h = network_zz_hamiltonian(n_nodes, couplings, frequencies)
+    dim = 2 ** n_nodes
+    codes = [int(c) for c in reflected_gray_codes(n_nodes)]
+    perm = np.zeros((dim, dim), dtype=complex)
+    for i, c in enumerate(codes):
+        perm[codes[(i + 1) % dim], c] = 1.0
+    step = hermitian_expm(h, dt / dim)
+    u = np.eye(dim, dtype=complex)
+    for _ in range(dim):
+        u = perm @ step @ u
+    return phase_distance(u)
 
 
 def collective_control_expansion(m, alpha_t, n_nodes):

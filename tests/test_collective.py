@@ -368,6 +368,15 @@ class TestModelInvariants:
         with pytest.raises(InputError, match=named):
             collective.hamiltonian_invariants("foerster", **params)
 
+    @pytest.mark.parametrize("model, params, named", [
+        ("foerster", {"omega": np.nan, "c_f": 0.5}, "omega"),
+        ("renormalization", {"omega_1": 1.1, "omega_2": 0.4, "c_r": np.inf}, "c_r"),
+        ("stimulation", {"g": 1.0, "delta": 1j}, "delta"),
+    ], ids=["nan", "inf", "complex"])
+    def test_non_finite_parameters_rejected(self, model, params, named):
+        with pytest.raises(InputError, match=f"parameter {named} must be a finite real"):
+            collective.hamiltonian_invariants(model, **params)
+
     @pytest.mark.parametrize("total_time", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, total_time):
         inv = collective.hamiltonian_invariants("stimulation", g=1.0, delta=0.5)

@@ -142,6 +142,12 @@ class TestCliCommands:
         result = runner.invoke(main, ["echo", "--dim", "4", "--dt", "2.2"])
         assert result.exit_code == 0
 
+    def test_echo_dim_256(self, runner):
+        # the period comes from the spectrum: no O(n^4) dense period product
+        result = runner.invoke(main, ["echo", "--dim", "256", "--cycles", "8"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1].startswith("256,1.0,8,")
+
     def test_echo_from_file(self, runner, tmp_path):
         path = tmp_path / "h.json"
         path.write_text(io.operator_to_json(np.diag([2.0, -1.0, -1.0])))

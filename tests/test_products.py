@@ -155,6 +155,16 @@ class TestBuilders:
             protocols.network_zz_hamiltonian(2, {(1, 0): 0.2})
         with pytest.raises(InputError):
             protocols.network_zz_hamiltonian(2, {}, [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="node pairs"):
+            protocols.network_zz_hamiltonian(3, {(0.5, 1): 1.0})  # was Z on node 1 alone
+        with pytest.raises(InputError, match="node pairs"):
+            protocols.network_zz_hamiltonian(3, {(0, 1, 2): 1.0})
+        with pytest.raises(InputError, match="node pairs"):
+            protocols.network_zz_hamiltonian(3, {1: 1.0})
+        with pytest.raises(InputError, match=r"coupling \(0, 2\)"):
+            protocols.network_zz_hamiltonian(3, {(0, 2): float("nan")})
+        with pytest.raises(InputError, match="frequency of node 0"):
+            protocols.network_zz_hamiltonian(3, {}, [float("-inf")])
 
     @pytest.mark.parametrize("n, label", [(2, (1, 0, 1)), (3, (2, 1)), (4, (3, 2, 1))])
     def test_cat_from_base(self, n, label):

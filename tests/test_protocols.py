@@ -105,14 +105,14 @@ class TestSegmentsAndEvolve:
         psi = np.zeros(5, dtype=complex)
         psi[2] = 1.0
         with mock.patch.object(protocols, "hermitian_expm", wraps=hermitian_expm) as expm:
-            schedule, _ = echo_schedule(h, 1.1, cycles=3)  # period product: one exponential
-            assert expm.call_count == 1
+            schedule, _ = echo_schedule(h, 1.1, cycles=3)  # residuals from the spectrum: none
+            assert expm.call_count == 0
             u = schedule.unitary()
             states = evolve(schedule, psi)
             # a replayed file holds equal copies, not one shared array
             replayed = io.schedule_from_json(io.schedule_to_json(schedule))
             u_replayed = replayed.unitary()
-        assert expm.call_count == 4
+        assert expm.call_count == 3
         # per-segment exponentials, as before the cache: the same bits
         u_each, psi_each, states_each = np.eye(5, dtype=complex), psi, []
         for seg in schedule.segments:
@@ -145,6 +145,16 @@ class TestSegmentsAndEvolve:
         first = weakref.ref(next(steps))
         next(steps)
         assert first() is None  # an all-distinct schedule holds one unitary at a time
+
+    def test_expm_stack_of_times(self):
+        rng = np.random.default_rng(3)
+        h = random_traceless(4, rng)
+        times = np.array([0.0, 0.4, -1.3, 7.0])
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            stack = hermitian_expm(h, times)
+        assert eigh.call_count == 1 and stack.shape == (4, 4, 4)
+        for t, u in zip(times, stack):
+            assert np.max(np.abs(u - hermitian_expm(h, t))) < 1e-15
 
     def test_expm_engines_agree(self):
         rng = np.random.default_rng(2)
@@ -185,6 +195,18 @@ class TestEcho:
     def test_nonpositive_cycles_rejected(self, cycles):
         with pytest.raises(InputError, match="cycle"):
             echo_schedule(np.diag([1.0, -1.0]), 1.0, cycles=cycles)
+
+    @pytest.mark.parametrize("cycles", [1.5, "2", True])
+    def test_fractional_cycles_rejected(self, cycles):
+        with pytest.raises(InputError, match="whole number"):
+            echo_schedule(np.diag([1.0, -1.0]), 1.0, cycles=cycles)
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+    def test_at_most_one_eigh(self, diagonal):
+        h = random_traceless(6, np.random.default_rng(7), diagonal=diagonal)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            echo_schedule(h, 0.9, cycles=2)
+        assert eigh.call_count == (0 if diagonal else 1)
 
     @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.diag([np.nan, 0.0]), np.diag([np.inf, -np.inf])],
                              ids=["non-square", "nan", "inf"])
@@ -387,3 +409,38 @@ class TestNetworkEcho:
     def test_bad_pair_rejected(self):
         with pytest.raises(InputError):
             selective_network_echo(2, {(1, 0): 0.2}, dt=1.0)
+
+    @pytest.mark.parametrize("couplings, dt, frequencies, match", [
+        ({(0, 1): np.nan}, 1.0, None, r"coupling \(0, 1\) must be a finite"),
+        ({(0, 1): 0.2}, 1.0, [1.0, np.inf], "frequency of node 1 must be a finite"),
+        ({(0, 1): 0.2}, np.nan, None, "echo dt must be a finite"),
+        ({(0, 1): 1j}, 1.0, None, r"coupling \(0, 1\) must be a finite real"),
+        ({(0.5, 1): 1.0}, 1.0, None, "node pairs"),
+        ({(0, 1, 2): 1.0}, 1.0, None, "node pairs"),
+    ], ids=["nan-coupling", "inf-frequency", "nan-dt", "complex-coupling", "fractional-node",
+            "node-triple"])
+    def test_bad_inputs_named(self, couplings, dt, frequencies, match):
+        with pytest.raises(InputError, match=match):
+            selective_network_echo(3, couplings, dt, frequencies)
+
+
+class TestEchoProperties:
+    @PROPERTY
+    @given(st.integers(2, 8), st.booleans(), st.floats(0.05, 10.0), st.integers(1, 3), seeds)
+    def test_residuals_match_dense_oracle(self, n, diagonal, dt, cycles, seed):
+        h = random_traceless(n, np.random.default_rng(seed), diagonal=diagonal)
+        _, rep = echo_schedule(h, dt, cycles=cycles)
+        want = oracles.echo_residuals(h, dt, cycles)
+        for got, dense in zip((rep.residual, rep.stroboscopic_residual), want):
+            assert got < 1e-10 and abs(got - dense) < 1e-12
+
+    @PROPERTY
+    @given(st.integers(1, 5), st.floats(0.05, 10.0), st.booleans(), seeds)
+    def test_network_residual_matches_dense_oracle(self, n_nodes, dt, with_frequencies, seed):
+        rng = np.random.default_rng(seed)
+        couplings = {(mu, nu): rng.normal() for mu in range(n_nodes) for nu in range(mu + 1, n_nodes)
+                     if rng.integers(0, 2)}
+        freqs = rng.normal(size=n_nodes).tolist() if with_frequencies else None
+        rep = selective_network_echo(n_nodes, couplings, dt, freqs)
+        dense = oracles.network_echo_residual(n_nodes, couplings, dt, freqs)
+        assert rep.residual < 1e-10 and abs(rep.residual - dense) < 1e-12
