@@ -6,7 +6,7 @@ The echo protocol interleaves free evolution with the cyclic
 permutation of the Hamiltonian's eigenstates: after n rounds every
 eigenstate has spent equal time at every energy, so a traceless
 spectrum accumulates zero net phase and any initial state returns.
-Both echoes take their residuals from the spectrum in cycle order.
+Both echoes measure their period as a monomial map in the eigenbasis.
 
 hbar = 1; a Hamiltonian segment applies exp(-i H dt).
 """
@@ -40,7 +40,9 @@ def phase_distance(u: np.ndarray, v: np.ndarray | None = None) -> float:
     if v is None:
         v = np.eye(u.shape[0], dtype=complex)
     overlap = np.trace(v.conj().T @ u)
-    phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
+    if abs(overlap) < 1e-300:
+        return float(np.linalg.norm(u - v, 2))
+    phase = overlap / abs(overlap)
     return float(np.linalg.norm(u - phase * v, 2))
 
 
@@ -53,19 +55,24 @@ def _spectral_phase_distance(eigenvalues, multiplicities=None) -> float:
     return float(np.max(np.abs(eigenvalues - phase)))
 
 
-def _cycle_eigenvalues(energies, dt: float) -> np.ndarray:
-    """Eigenvalues of one echo period from the n energies in cycle order.
+def _monomial_power_distance(perm, factors, steps: int) -> float:
+    """phase_distance(M^steps) of the monomial map M|k> = factors[k] |perm[k]>.
 
-    A period is n rounds of evolution for dt/n, each followed by the gate
-    that moves every eigenstate one place on: a permutation times phases.
-    The eigenstate at place k collects exp(-i e_j dt/n) at j = k, k+1, ...
-    and returns with the product of all n phases, in O(n^2) overall.
+    An echo period in the eigenbasis is such a map: each step multiplies
+    eigenstate k by its entry and moves it to perm[k].  Every state is
+    followed for ``steps`` steps, O(n steps); if all return, the power is
+    diagonal and its distance is spectral, else it is measured densely.
     """
-    phases = np.exp(-1j * energies * (dt / len(energies)))
-    period = phases
-    for j in range(1, len(phases)):
-        period = period * np.roll(phases, -j)
-    return period
+    n = len(perm)
+    pos, acc = np.arange(n), np.ones(n, dtype=complex)
+    for _ in range(steps):
+        acc = acc * factors[pos]
+        pos = perm[pos]
+    if np.array_equal(pos, np.arange(n)):
+        return _spectral_phase_distance(acc)
+    power = np.zeros((n, n), dtype=complex)
+    power[pos, np.arange(n)] = acc
+    return phase_distance(power)
 
 
 def _check_real(value, what: str):
@@ -196,10 +203,11 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     C is the shift, conjugated into the eigenbasis unless H is diagonal.
     Requires a traceless Hamiltonian; a violating input is rejected with
     the trace shift that would fix it.  The schedule repeats one
-    Hamiltonian and one gate segment; both residuals come from the
-    spectrum, at one ``eigh`` per echo (none for diagonal H).  The
-    per-period pulse cost is n(n-1) state-selective two-level pulses
-    (n applications of the (n-1)-pulse cyclic permutation).
+    Hamiltonian and one gate segment.  Its residuals bound the phase
+    distance of its unitary: both segments, read in the eigenbasis (one
+    ``eigh``, none for diagonal H), are a monomial map plus a defect per
+    step.  The per-period pulse cost is n(n-1) state-selective two-level
+    pulses (n applications of the (n-1)-pulse cyclic permutation).
     """
     if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
         raise InputError(f"echo needs a whole number of cycles >= 1, got {cycles!r}")
@@ -207,22 +215,34 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     n = h.shape[0]
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise InputError("echo Hamiltonian must be hermitian")
-    shift = weyl_matrix(WeylIndex(n - 1, 0, n))
+    gate = weyl_matrix(WeylIndex(n - 1, 0, n))
+    h_frame, gate_frame = h, gate
     if np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-14:
-        energies, gate = np.diag(h).real, shift
+        energies = np.diag(h).real
     else:
         energies, vecs = np.linalg.eigh(h)
-        gate = vecs @ shift @ vecs.conj().T
+        gate = vecs @ gate @ vecs.conj().T
+        h_frame, gate_frame = (vecs.conj().T @ op @ vecs for op in (h, gate))
     tr = complex(np.trace(h))
     if abs(tr) > 1e-10 * max(1.0, float(np.max(np.abs(energies)))):
         raise InputError(
             f"echo requires a traceless Hamiltonian; shift by {-tr / n:.6g} * identity first")
     pair = [Segment("hamiltonian", h, dt / n), Segment("gate", gate, 0.0)]
-    # the shift sends |k> to |k-1>, so the cycle visits the energies in reverse
-    period = _cycle_eigenvalues(energies[::-1], dt)
-    report = EchoReport(n=n, dt=dt, cycles=cycles, residual=_spectral_phase_distance(period),
-                        stroboscopic_residual=_spectral_phase_distance(period ** cycles),
-                        pulse_count=n * (n - 1) * cycles)
+    perm, columns = np.argmax(np.abs(gate_frame), axis=0), np.arange(n)
+    factors = gate_frame[perm, columns] * np.exp(-1j * energies * (dt / n))
+    off_gate = gate_frame.copy()
+    off_gate[perm, columns] = 0.0
+    # a step's 2-norm error; a diagonal H leaves exact zeros, whose SVD is skipped
+    defect = sum(float(np.linalg.norm(a, 2)) for a in (off_gate, dt / n * (h_frame - np.diag(energies)))
+                 if a.any())
+    report = EchoReport(
+        n=n,
+        dt=dt,
+        cycles=cycles,
+        residual=_monomial_power_distance(perm, factors, n) + n * defect,
+        stroboscopic_residual=_monomial_power_distance(perm, factors, n * cycles) + n * cycles * defect,
+        pulse_count=n * (n - 1) * cycles,
+    )
     return PulseSchedule(pair * (cycles * n)), report
 
 
@@ -235,8 +255,13 @@ def cyclic_to_pi_pulses(n: int) -> list[np.ndarray]:
     """
     if n < 2:
         raise InputError("need n >= 2")
-    # the identity with rows k and k + 1 exchanged
-    return [np.eye(n, dtype=complex)[np.r_[:k, k + 1, k, k + 2:n]] for k in range(n - 1)]
+    pulses = []
+    for k in range(n - 1):
+        swap = np.eye(n, dtype=complex)
+        swap[k, k] = swap[k + 1, k + 1] = 0.0
+        swap[k, k + 1] = swap[k + 1, k] = 1.0
+        pulses.append(swap)
+    return pulses
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +279,8 @@ class GraySequence:
         return [format(int(c), "b").zfill(self.n_bits) for c in self.codes]
 
     def hamming_check(self) -> bool:
-        diff = self.codes ^ np.roll(self.codes, -1)
+        nxt = np.roll(self.codes, -1)
+        diff = np.bitwise_xor(self.codes, nxt)
         # power of two <=> exactly one bit differs
         return bool(np.all(diff != 0) and np.all(np.bitwise_and(diff, diff - 1) == 0))
 
@@ -429,18 +455,30 @@ def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None)
     The interaction shifts the spectrum while the eigenstates stay the
     computational product states; cycling them along the Hamming-1
     sequence with free evolution of dt/2^N per step nulls the total
-    phase because the full spectrum is traceless.  The residual comes
-    from the diagonal in Gray order (:func:`_cycle_eigenvalues`).
+    phase because the full spectrum is traceless.  The residual is that
+    of the monomial map that moves each code to the next one in the
+    sequence with its phase (:func:`_monomial_power_distance`).
     """
     if n_nodes > 6:
         raise CapExceeded("network echo supported for N <= 6")
     _check_real(dt, "echo dt")
     h = network_zz_hamiltonian(n_nodes, couplings, frequencies)
+    dim = 2 ** n_nodes
+
+    # eigenstates must be the computational product states
+    off = h - np.diag(np.diag(h))
+    eigen_product = bool(np.max(np.abs(off)) < 1e-12)
+
     seq = gray_sequence(n_nodes)
-    energies = np.diag(h).real
+    single_node = seq.hamming_check()
+    perm = np.arange(dim)
+    perm[seq.codes] = np.roll(seq.codes, -1)
+    factors = np.exp(-1j * np.diag(h).real * (dt / dim))
     return NetworkEchoReport(
-        n_nodes=n_nodes, cycle_length=len(energies), pulses_per_period=len(energies),
-        residual=_spectral_phase_distance(_cycle_eigenvalues(energies[seq.codes], dt)),
-        # eigenstates must be the computational product states
-        eigenstates_product=bool(np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-12),
-        single_node_steps=seq.hamming_check())
+        n_nodes=n_nodes,
+        cycle_length=dim,
+        residual=_monomial_power_distance(perm, factors, dim),
+        eigenstates_product=eigen_product,
+        single_node_steps=single_node,
+        pulses_per_period=dim,
+    )

@@ -105,7 +105,7 @@ class TestSegmentsAndEvolve:
         psi = np.zeros(5, dtype=complex)
         psi[2] = 1.0
         with mock.patch.object(protocols, "hermitian_expm", wraps=hermitian_expm) as expm:
-            schedule, _ = echo_schedule(h, 1.1, cycles=3)  # residuals from the spectrum: none
+            schedule, _ = echo_schedule(h, 1.1, cycles=3)  # residuals from the eigenbasis: none
             assert expm.call_count == 0
             u = schedule.unitary()
             states = evolve(schedule, psi)
@@ -207,6 +207,23 @@ class TestEcho:
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             echo_schedule(h, 0.9, cycles=2)
         assert eigh.call_count == (0 if diagonal else 1)
+
+    def test_residual_reads_the_eigenbasis(self):
+        # eigenvectors that are not H's leave the gate cycling the wrong states
+        h = random_traceless(5, np.random.default_rng(4))
+        with mock.patch.object(np.linalg, "eigh", lambda a: (np.linalg.eigvalsh(a), np.eye(len(a)))):
+            schedule, rep = echo_schedule(h, 1.3)
+        assert phase_distance(schedule.unitary()) > 0.1 and rep.residual > 0.1
+
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+    def test_residual_reads_the_gate(self, diagonal):
+        # a gate that swaps two levels instead of cycling all five
+        h = random_traceless(5, np.random.default_rng(4), diagonal=diagonal)
+        swap = np.eye(5, dtype=complex)[[1, 0, 2, 3, 4]]
+        with mock.patch.object(protocols, "weyl_matrix", lambda index: swap):
+            schedule, rep = echo_schedule(h, 1.3, cycles=2)
+        actual = phase_distance(schedule.unitary())
+        assert actual > 0.1 and rep.stroboscopic_residual > actual - 1e-12
 
     @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.diag([np.nan, 0.0]), np.diag([np.inf, -np.inf])],
                              ids=["non-square", "nan", "inf"])
@@ -410,6 +427,13 @@ class TestNetworkEcho:
         with pytest.raises(InputError):
             selective_network_echo(2, {(1, 0): 0.2}, dt=1.0)
 
+    def test_residual_reads_the_sequence(self):
+        # a sequence that visits code 1 twice and code 3 never is no cycle
+        broken = protocols.GraySequence(2, np.array([0, 1, 1, 2], dtype=np.uint64))
+        with mock.patch.object(protocols, "gray_sequence", lambda n_bits: broken):
+            rep = selective_network_echo(2, {(0, 1): 0.3}, 1.0, [0.2, 0.5])
+        assert rep.residual > 1
+
     @pytest.mark.parametrize("couplings, dt, frequencies, match", [
         ({(0, 1): np.nan}, 1.0, None, r"coupling \(0, 1\) must be a finite"),
         ({(0, 1): 0.2}, 1.0, [1.0, np.inf], "frequency of node 1 must be a finite"),
@@ -429,10 +453,12 @@ class TestEchoProperties:
     @given(st.integers(2, 8), st.booleans(), st.floats(0.05, 10.0), st.integers(1, 3), seeds)
     def test_residuals_match_dense_oracle(self, n, diagonal, dt, cycles, seed):
         h = random_traceless(n, np.random.default_rng(seed), diagonal=diagonal)
-        _, rep = echo_schedule(h, dt, cycles=cycles)
+        schedule, rep = echo_schedule(h, dt, cycles=cycles)
         want = oracles.echo_residuals(h, dt, cycles)
         for got, dense in zip((rep.residual, rep.stroboscopic_residual), want):
             assert got < 1e-10 and abs(got - dense) < 1e-12
+        # the stroboscopic residual bounds the returned schedule's own distance
+        assert phase_distance(schedule.unitary()) <= rep.stroboscopic_residual + 1e-13
 
     @PROPERTY
     @given(st.integers(1, 5), st.floats(0.05, 10.0), st.booleans(), seeds)
