@@ -49,7 +49,7 @@ report = selective_network_echo(
 print(f"  cycle length {report.cycle_length}, eigenstates stay product states: "
       f"{report.eigenstates_product}")
 print(f"  echo residual {report.residual:.2e}, "
-      f"{report.pulses_per_period} selective transitions per period")
+      f"{report.cycle_length} selective transitions per period")
 
 print("\n== collective control ==")
 for n_nodes in (2, 4, 6):

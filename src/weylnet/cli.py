@@ -282,12 +282,13 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
         if h_path is not None:
             h = operator_from_json(_read_text(h_path))
         elif n is not None:
+            from .cluster import DEFAULT_DIM_CAP
             if n < 2:  # before numpy sees an empty or negative size
                 raise InputError(f"dimension must be >= 2, got {n}")
-            rng = np.random.default_rng(ctx.obj["seed"])
-            vals = rng.normal(size=n)
-            vals -= vals.mean()
-            h = np.diag(vals).astype(complex)
+            if n > DEFAULT_DIM_CAP:  # before numpy allocates n x n
+                raise CapExceeded(f"dimension {n} exceeds cap {DEFAULT_DIM_CAP}")
+            vals = np.random.default_rng(ctx.obj["seed"]).normal(size=n)
+            h = np.diag(vals - vals.mean()).astype(complex)
         else:
             raise InputError("provide --hamiltonian, --schedule or --dim")
         schedule, report = protocols.echo_schedule(h, dt, cycles=cycles)
@@ -328,12 +329,13 @@ def cmd_control(n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, outpu
         dim = 2 ** n_nodes
         if not 0 <= initial_basis < dim:
             raise InputError(f"initial basis index {initial_basis} out of range")
+        if (steps + 1) * dim > 2 ** 20:  # before numpy allocates the trajectory
+            raise CapExceeded(f"trajectory of {steps + 1} x {dim} amplitudes exceeds 2^20")
         psi = np.zeros(dim, dtype=complex)
         psi[initial_basis] = 1.0
         times = np.linspace(0.0, area, steps + 1)
         states = protocols.collective_control_states(mm, times, n_nodes, psi)
         _emit(trajectory_csv(times, states), trajectory_out)
-    rows = []
     ident_residual = float("nan")
     if mm == 1 and abs(area - math.pi / 2) < 1e-12:
         u = protocols.collective_control(mm, area, n_nodes)
@@ -342,10 +344,8 @@ def cmd_control(n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, outpu
         ident_residual = float(np.max(np.abs(u - target)))
     if mm == 2 and n_nodes % 2 == 1 and abs(area - math.pi / 2) < 1e-12:
         ident_residual = protocols.collective_control_phase_distance(mm, area, n_nodes)
-    fidelity = float("nan")
-    if n_nodes % 2 == 0:
-        fidelity = protocols.cat_creation_fidelity(n_nodes)
-    rows.append((n_nodes, mm, area, ident_residual, fidelity))
+    fidelity = protocols.cat_creation_fidelity(n_nodes) if n_nodes % 2 == 0 else float("nan")
+    rows = [(n_nodes, mm, area, ident_residual, fidelity)]
     _emit(csv_lines("nodes,m,alpha_t,identity_residual,cat_fidelity", rows), output)
     if n_nodes % 2 == 0 and mm == 2 and abs(area - math.pi / 4) < 1e-12 and 1 - fidelity > 1e-10:
         raise VerificationFailure(f"cat creation fidelity {fidelity} below 1 - 1e-10")

@@ -55,24 +55,35 @@ def _spectral_phase_distance(eigenvalues, multiplicities=None) -> float:
     return float(np.max(np.abs(eigenvalues - phase)))
 
 
-def _monomial_power_distance(perm, factors, steps: int) -> float:
-    """phase_distance(M^steps) of the monomial map M|k> = factors[k] |perm[k]>.
+def _monomial_power_distance(perm, log_factors, steps: int) -> float:
+    """phase_distance(M^steps) of the monomial map M|k> = exp(log_factors[k]) |perm[k]>.
 
-    An echo period in the eigenbasis is such a map: each step multiplies
-    eigenstate k by its entry and moves it to perm[k].  Every state is
-    followed for ``steps`` steps, O(n steps); if all return, the power is
-    diagonal and its distance is spectral, else it is measured densely.
+    An echo period in the eigenbasis is such a map.  On a cycle of length
+    L whose log-factors sum to s, M^steps has the L eigenvalues
+    exp((steps s + 2 pi i (steps r mod L)) / L), r < L; pointer doubling
+    finds the cycles in O(n log n) for any ``steps``.  A map that is no
+    permutation gets 2, the most any unitary can have.
     """
     n = len(perm)
-    pos, acc = np.arange(n), np.ones(n, dtype=complex)
-    for _ in range(steps):
-        acc = acc * factors[pos]
-        pos = perm[pos]
-    if np.array_equal(pos, np.arange(n)):
-        return _spectral_phase_distance(acc)
-    power = np.zeros((n, n), dtype=complex)
-    power[pos, np.arange(n)] = acc
-    return phase_distance(power)
+    if np.any(np.bincount(perm, minlength=n) != 1):
+        return 2.0
+    head, jump, reach = np.arange(n), perm, 1
+    while reach < n:  # head[k]: the smallest state within ``reach`` steps of k
+        head, jump, reach = np.minimum(head, head[jump]), jump[jump], 2 * reach
+    length = np.bincount(head, minlength=n)
+    total = np.bincount(head, log_factors.real, n) + 1j * np.bincount(head, log_factors.imag, n)
+    cycle = np.sort(head)  # each cycle's states together, ranked r = 0 .. L - 1
+    size, rank = length[cycle], np.arange(n) - (np.cumsum(length) - length)[cycle]
+    return _spectral_phase_distance(
+        np.exp((steps * total[cycle] + 2j * np.pi * (steps % size * rank % size)) / size))
+
+
+def _check_count(value, need: str, cap=None):
+    """Refuse a count that is no whole number >= 1, or exceeds ``cap``, before it sizes an array."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InputError(f"{need} >= 1, got {value!r} ({type(value).__name__})")
+    if cap is not None and value > cap:
+        raise CapExceeded(f"{need} <= {cap}, got {value}")
 
 
 def _check_real(value, what: str):
@@ -209,10 +220,10 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     step.  The per-period pulse cost is n(n-1) state-selective two-level
     pulses (n applications of the (n-1)-pulse cyclic permutation).
     """
-    if isinstance(cycles, bool) or not isinstance(cycles, numbers.Integral) or cycles < 1:
-        raise InputError(f"echo needs a whole number of cycles >= 1, got {cycles!r}")
+    _check_real(dt, "echo dt")
     h = as_operator(h)
     n = h.shape[0]
+    _check_count(cycles, "echo needs a whole number of cycles", 2 ** 20 // n)  # 2 n cycles segments
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise InputError("echo Hamiltonian must be hermitian")
     gate = weyl_matrix(WeylIndex(n - 1, 0, n))
@@ -229,7 +240,7 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
             f"echo requires a traceless Hamiltonian; shift by {-tr / n:.6g} * identity first")
     pair = [Segment("hamiltonian", h, dt / n), Segment("gate", gate, 0.0)]
     perm, columns = np.argmax(np.abs(gate_frame), axis=0), np.arange(n)
-    factors = gate_frame[perm, columns] * np.exp(-1j * energies * (dt / n))
+    log_factors = np.log(gate_frame[perm, columns]) - 1j * energies * (dt / n)
     off_gate = gate_frame.copy()
     off_gate[perm, columns] = 0.0
     # a step's 2-norm error; a diagonal H leaves exact zeros, whose SVD is skipped
@@ -239,8 +250,8 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
         n=n,
         dt=dt,
         cycles=cycles,
-        residual=_monomial_power_distance(perm, factors, n) + n * defect,
-        stroboscopic_residual=_monomial_power_distance(perm, factors, n * cycles) + n * cycles * defect,
+        residual=_monomial_power_distance(perm, log_factors, n) + n * defect,
+        stroboscopic_residual=_monomial_power_distance(perm, log_factors, n * cycles) + n * cycles * defect,
         pulse_count=n * (n - 1) * cycles,
     )
     return PulseSchedule(pair * (cycles * n)), report
@@ -294,10 +305,7 @@ def gray_sequence(n_bits: int) -> GraySequence:
     Each member of the previous sequence is repeated and extended on the
     right by 0,1 for even positions and 1,0 for odd positions.
     """
-    if n_bits < 1:
-        raise InputError(f"gray sequences need N >= 1, got {n_bits}")
-    if n_bits > 20:
-        raise CapExceeded("gray sequences supported for 1 <= N <= 20")
+    _check_count(n_bits, "gray sequences need N", 20)
     codes = np.array([0, 1], dtype=np.uint64)
     for _ in range(n_bits - 1):
         doubled = np.repeat(codes << np.uint64(1), 2)
@@ -416,20 +424,20 @@ class NetworkEchoReport:
     n_nodes: int
     cycle_length: int
     residual: float
-    eigenstates_product: bool
     single_node_steps: bool
-    pulses_per_period: int
+    eigenstates_product = True  # the model places only Z and I; perfbench records it
 
 
-def network_zz_hamiltonian(n_nodes: int, couplings, frequencies=None) -> np.ndarray:
-    """Diagonal network model: pair couplings on sigma_z (x) sigma_z plus
-    optional local sigma_z/2 terms.
+def network_zz_energies(n_nodes: int, couplings, frequencies=None) -> np.ndarray:
+    """Diagonal of the network model: pair couplings on sigma_z (x) sigma_z plus
+    optional local sigma_z/2 terms, one energy per product state.
 
     ``couplings`` maps node pairs (mu, nu) with mu < nu to finite real
-    strengths; missing pairs couple with 0.
+    strengths; missing pairs couple with 0.  Each term adds its strength
+    times the product of its nodes' values of Z = diag(-1, 1) at each
+    state's bits (node 0 the leading bit): O(terms 2^N), with no matrix.
     """
-    from .collective import placement_operator
-
+    _check_count(n_nodes, "network models need N", 20)
     terms = list(dict(couplings).items())  # ((mu, nu), c), then ((mu,), w/2)
     for nodes, c in terms:
         if not (isinstance(nodes, tuple) and len(nodes) == 2 and all(isinstance(i, numbers.Integral) for i in nodes)
@@ -443,10 +451,11 @@ def network_zz_hamiltonian(n_nodes: int, couplings, frequencies=None) -> np.ndar
         for mu, w in enumerate(frequencies):
             _check_real(w, f"frequency of node {mu}")
             terms.append(((mu,), w / 2))
-    if not terms:
-        return np.zeros((2 ** n_nodes, 2 ** n_nodes), dtype=complex)
-    strings = ["".join("Z" if i in nodes else "I" for i in range(n_nodes)) for nodes, _ in terms]
-    return placement_operator(strings, [c for _, c in terms])
+    index, energies = np.arange(2 ** n_nodes), np.zeros(2 ** n_nodes)
+    z = [(2 * ((index >> (n_nodes - 1 - mu)) & 1) - 1).astype(np.int8) for mu in range(n_nodes)]
+    for nodes, c in terms:
+        energies += c * math.prod(z[mu] for mu in nodes)
+    return energies
 
 
 def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None) -> NetworkEchoReport:
@@ -459,26 +468,15 @@ def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None)
     of the monomial map that moves each code to the next one in the
     sequence with its phase (:func:`_monomial_power_distance`).
     """
-    if n_nodes > 6:
-        raise CapExceeded("network echo supported for N <= 6")
     _check_real(dt, "echo dt")
-    h = network_zz_hamiltonian(n_nodes, couplings, frequencies)
-    dim = 2 ** n_nodes
-
-    # eigenstates must be the computational product states
-    off = h - np.diag(np.diag(h))
-    eigen_product = bool(np.max(np.abs(off)) < 1e-12)
-
+    energies = network_zz_energies(n_nodes, couplings, frequencies)
     seq = gray_sequence(n_nodes)
-    single_node = seq.hamming_check()
+    dim = len(energies)
     perm = np.arange(dim)
     perm[seq.codes] = np.roll(seq.codes, -1)
-    factors = np.exp(-1j * np.diag(h).real * (dt / dim))
     return NetworkEchoReport(
         n_nodes=n_nodes,
         cycle_length=dim,
-        residual=_monomial_power_distance(perm, factors, dim),
-        eigenstates_product=eigen_product,
-        single_node_steps=single_node,
-        pulses_per_period=dim,
+        residual=_monomial_power_distance(perm, -1j * energies * (dt / dim), dim),
+        single_node_steps=seq.hamming_check(),
     )

@@ -21,7 +21,9 @@ comes from one int64 product of their index vectors, and the Gray
 sequence from its closed form k ^ (k >> 1).  Echo periods are products
 of dense segment unitaries: 2n n x n matrices and a matrix power for
 the single-system echo, a dense Gray permutation matrix times the step
-2^N times for the network echo.
+2^N times for the network echo, whose zz Hamiltonian is a sum of dense
+Kronecker products; a monomial map's power follows every state step by
+step.
 They are slow and exist only as test oracles.
 """
 
@@ -222,6 +224,19 @@ def echo_residuals(h, dt, cycles=1):
     for _ in range(n):
         u = gate @ step @ u
     return phase_distance(u), phase_distance(np.linalg.matrix_power(u, cycles))
+
+
+def monomial_power_distance(perm, factors, steps):
+    """phase_distance(M^steps) of M|k> = factors[k] |perm[k]>, following every state
+    for ``steps`` steps; a power that moves a state is measured densely."""
+    n = len(perm)
+    pos, acc = np.arange(n), np.ones(n, dtype=complex)
+    for _ in range(steps):
+        acc = acc * factors[pos]
+        pos = perm[pos]
+    power = np.zeros((n, n), dtype=complex)
+    power[pos, np.arange(n)] = acc
+    return phase_distance(power)
 
 
 def network_echo_residual(n_nodes, couplings, dt, frequencies=None):

@@ -207,15 +207,22 @@ class TestClusterSums:
             table = cluster.cluster_sums(st)
             assert table.sum_rule_residual < 1e-9
 
-    def test_local_unitary_invariance(self):
-        rng = np.random.default_rng(12)
-        for dims in [(2, 2), (2, 3, 2)]:
-            st = random_state(dims, rng)
-            before = cluster.cluster_sums(st)
-            rotated = apply_local(st, random_local_unitaries(dims, rng))
-            after = cluster.cluster_sums(rotated)
-            for subset in before.values:
-                assert abs(before.values[subset] - after.values[subset]) < 1e-9
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(lambda d: np.prod(d) <= 64),
+           st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_local_unitary_invariance(self, dims, uniform, pure, seed):
+        dims = tuple(dims[:1] * len(dims) if uniform else dims)
+        rng = np.random.default_rng(seed)
+        state = random_state(dims, rng, pure=pure)
+        rotated = apply_local(state, random_local_unitaries(dims, rng))
+        before, after = cluster.cluster_sums(state), cluster.cluster_sums(rotated)
+        for subset in before.values:
+            assert abs(before.values[subset] - after.values[subset]) < 1e-9
+        if uniform:  # purity factors need one node dimension
+            rows, rotated_rows = cluster.purity_factors(state).rows, cluster.purity_factors(rotated).rows
+            for subset, row in rows.items():
+                assert abs(row.p - rotated_rows[subset].p) < 1e-9
+                assert abs(row.entropy - rotated_rows[subset].entropy) < 1e-9
 
 
 class TestPurityFactors:

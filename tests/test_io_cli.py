@@ -399,6 +399,18 @@ class TestCliCommands:
     def test_control_too_large_exits_3(self, runner):
         assert runner.invoke(main, ["control", "--nodes", "40"]).exit_code == 3
 
+    @pytest.mark.parametrize("args, message", [
+        (["echo", "--dim", "100000000"], "dimension 100000000 exceeds cap 4096"),  # was a MemoryError
+        (["echo", "--dim", "3", "--cycles", str(10 ** 30)], "cycles <= 349525, got 1"),  # was exit 1
+        (["control", "--nodes", "3", "--steps", "131072", "--trajectory-out", "{traj}"],
+         "131073 x 8 amplitudes exceeds 2^20"),
+    ], ids=["echo-dim", "echo-cycles", "control-steps"])
+    def test_size_beyond_its_cap_exits_3(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, [a.format(traj=tmp_path / "t.csv") for a in args])
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines()[-1].startswith("error: ") and message in result.output
+        assert not (tmp_path / "t.csv").exists()
+
     def test_cat_profile_beyond_float_range_exits_3(self, runner):
         result = runner.invoke(main, ["cat", "--dim", "3", "--nodes", "700"])
         assert result.exit_code == 3, result.output
@@ -566,6 +578,61 @@ def loaded_modules(args) -> set:
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return set(result.stderr.split())
+
+
+# refused counts and numbers and junk text, drawn for every option next to its cheap admitted values
+JUNK = ["0", "-1", "-7", str(10 ** 8), str(2 ** 63), str(10 ** 30), str(-10 ** 30), "nan", "inf", "-inf",
+        "1e308", "2.5", "x", ""]
+
+
+def option_values(cheap):
+    return st.one_of(st.sampled_from(JUNK), cheap.map(str))
+
+
+COUNT_LISTS = st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2).map(lambda ns: ",".join(map(str, ns)))
+OUTPUT, FLAG = "an output file", "a flag"
+POSITIONAL = ""  # basis takes N as its one argument
+ARGUMENT_COMMANDS = {
+    "echo": {"--dim": option_values(st.integers(2, 12)), "--dt": option_values(st.floats(-1.0, 5.0)),
+             "--cycles": option_values(st.integers(1, 3)), "--trajectory-out": OUTPUT},
+    "gray": {"--nodes": option_values(st.integers(1, 8))},
+    "control": {"--nodes": option_values(st.integers(1, 6)), "--m": option_values(st.integers(1, 2)),
+                "--alpha-t": option_values(st.sampled_from(["pi/4", "pi/2", "pi", "0.3", "pi/0", "pi/x"])),
+                "--steps": option_values(st.integers(1, 8)), "--trajectory-out": OUTPUT},
+    "symmetry": {"--nodes": option_values(st.integers(1, 6))},
+    "cat": {"--dim": option_values(st.integers(2, 4)), "--nodes": option_values(st.integers(1, 3)),
+            "--verify": FLAG},
+    "fig-purity": {},
+    "table-csum": {"--n": option_values(COUNT_LISTS), "--n-max": option_values(st.integers(1, 3))},
+    "invariants": {"--model": st.sampled_from(["foerster", "renormalization", "stimulation"]),
+                   "--params": option_values(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(
+                       lambda xs: ",".join(map(repr, xs)))),
+                   "--time": option_values(st.floats(0.0, 20.0))},
+    "basis": {POSITIONAL: option_values(st.integers(2, 8))},
+}
+ALWAYS = {POSITIONAL, "--model"}
+
+
+class TestArgumentExitCodes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_arguments_never_exit_1(self, data):
+        command = data.draw(st.sampled_from(sorted(ARGUMENT_COMMANDS)))
+        with tempfile.TemporaryDirectory() as work:
+            args = [command]
+            for name, strategy in ARGUMENT_COMMANDS[command].items():
+                if name not in ALWAYS and not data.draw(st.booleans(), label=f"{command} {name}"):
+                    continue
+                if strategy == OUTPUT:
+                    args += [name, os.path.join(work, "out.csv")]
+                elif strategy == FLAG:
+                    args.append(name)
+                else:  # "--" lets a negative N through as the argument
+                    args += [name or "--", data.draw(strategy)]
+            result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output, args
 
 
 class TestFreshInterpreter:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from weylnet import basis, cat, collective, commuting, protocols, symmetry
 from weylnet.cluster import ProductLabel, cluster_operator, kron_all
-from weylnet.errors import DimensionMismatch, InputError
+from weylnet.errors import CapExceeded, DimensionMismatch, InputError
 
 # derandomized so every run checks the same examples; no example database
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -141,30 +141,36 @@ class TestBuilders:
 
     @PROPERTY
     @given(st.integers(2, 6), seeds, st.booleans())
-    def test_network_zz_hamiltonian(self, n_nodes, seed, with_frequencies):
+    def test_network_zz_energies(self, n_nodes, seed, with_frequencies):
         rng = np.random.default_rng(seed)
         pairs = [(mu, nu) for mu in range(n_nodes) for nu in range(mu + 1, n_nodes)]
         chosen = rng.permutation(len(pairs))[:rng.integers(len(pairs) + 1)]
         couplings = {pairs[i]: rng.normal() for i in chosen}
         freqs = rng.normal(size=rng.integers(1, n_nodes + 1)).tolist() if with_frequencies else None
-        got = protocols.network_zz_hamiltonian(n_nodes, couplings, freqs)
-        assert np.max(np.abs(got - oracles.network_zz_hamiltonian(n_nodes, couplings, freqs))) < TOL
+        got = protocols.network_zz_energies(n_nodes, couplings, freqs)
+        want = oracles.network_zz_hamiltonian(n_nodes, couplings, freqs)
+        assert np.max(np.abs(np.diag(got) - want)) < TOL
 
     def test_network_zz_bad_inputs(self):
         with pytest.raises(InputError):
-            protocols.network_zz_hamiltonian(2, {(1, 0): 0.2})
+            protocols.network_zz_energies(2, {(1, 0): 0.2})
         with pytest.raises(InputError):
-            protocols.network_zz_hamiltonian(2, {}, [1.0, 2.0, 3.0])
+            protocols.network_zz_energies(2, {}, [1.0, 2.0, 3.0])
         with pytest.raises(InputError, match="node pairs"):
-            protocols.network_zz_hamiltonian(3, {(0.5, 1): 1.0})  # was Z on node 1 alone
+            protocols.network_zz_energies(3, {(0.5, 1): 1.0})  # was Z on node 1 alone
         with pytest.raises(InputError, match="node pairs"):
-            protocols.network_zz_hamiltonian(3, {(0, 1, 2): 1.0})
+            protocols.network_zz_energies(3, {(0, 1, 2): 1.0})
         with pytest.raises(InputError, match="node pairs"):
-            protocols.network_zz_hamiltonian(3, {1: 1.0})
+            protocols.network_zz_energies(3, {1: 1.0})
         with pytest.raises(InputError, match=r"coupling \(0, 2\)"):
-            protocols.network_zz_hamiltonian(3, {(0, 2): float("nan")})
+            protocols.network_zz_energies(3, {(0, 2): float("nan")})
         with pytest.raises(InputError, match="frequency of node 0"):
-            protocols.network_zz_hamiltonian(3, {}, [float("-inf")])
+            protocols.network_zz_energies(3, {}, [float("-inf")])
+        for n_nodes in (2.5, 0, -1, True, "3"):  # was a bare TypeError, or a 1 x 1 zero for 0
+            with pytest.raises(InputError, match=rf"network models need N >= 1, got {n_nodes!r} \("):
+                protocols.network_zz_energies(n_nodes, {})
+        with pytest.raises(CapExceeded, match="N <= 20, got 21"):  # before any 2^21 array
+            protocols.network_zz_energies(21, {})
 
     @pytest.mark.parametrize("n, label", [(2, (1, 0, 1)), (3, (2, 1)), (4, (3, 2, 1))])
     def test_cat_from_base(self, n, label):

@@ -201,6 +201,11 @@ class TestEcho:
         with pytest.raises(InputError, match="whole number"):
             echo_schedule(np.diag([1.0, -1.0]), 1.0, cycles=cycles)
 
+    @pytest.mark.parametrize("dt", ["1", np.nan, 1j, None])
+    def test_non_real_dt_rejected(self, dt):
+        with pytest.raises(InputError, match="echo dt must be a finite real"):
+            echo_schedule(np.diag([1.0, -1.0]), dt)
+
     @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
     def test_at_most_one_eigh(self, diagonal):
         h = random_traceless(6, np.random.default_rng(7), diagonal=diagonal)
@@ -295,9 +300,9 @@ class TestGray:
         with pytest.raises(CapExceeded):
             gray_sequence(21)
 
-    @pytest.mark.parametrize("n_bits", [0, -3])
+    @pytest.mark.parametrize("n_bits", [0, -3, 2.0, True, "3"])
     def test_nonpositive_length_is_bad_input(self, n_bits):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=rf"gray sequences need N >= 1, got {n_bits!r} \("):
             gray_sequence(n_bits)
 
 
@@ -421,31 +426,88 @@ class TestNetworkEcho:
         assert rep.cycle_length == 8
         assert rep.single_node_steps
         assert rep.residual < 1e-9
-        assert rep.pulses_per_period == 8
 
     def test_bad_pair_rejected(self):
         with pytest.raises(InputError):
             selective_network_echo(2, {(1, 0): 0.2}, dt=1.0)
 
     def test_residual_reads_the_sequence(self):
-        # a sequence that visits code 1 twice and code 3 never is no cycle
-        broken = protocols.GraySequence(2, np.array([0, 1, 1, 2], dtype=np.uint64))
-        with mock.patch.object(protocols, "gray_sequence", lambda n_bits: broken):
-            rep = selective_network_echo(2, {(0, 1): 0.3}, 1.0, [0.2, 0.5])
-        assert rep.residual > 1
+        # sequences that visit a code twice and another never are no cycle: the
+        # first maps the codes to a 3-cycle and a fixed point, the second to no
+        # permutation
+        for codes in ([0, 1, 1, 2], [0, 2, 0, 1]):
+            broken = protocols.GraySequence(2, np.array(codes, dtype=np.uint64))
+            with mock.patch.object(protocols, "gray_sequence", lambda n_bits: broken):
+                rep = selective_network_echo(2, {(0, 1): 0.3}, 1.0, [0.2, 0.5])
+            assert rep.residual > 1, codes
 
-    @pytest.mark.parametrize("couplings, dt, frequencies, match", [
-        ({(0, 1): np.nan}, 1.0, None, r"coupling \(0, 1\) must be a finite"),
-        ({(0, 1): 0.2}, 1.0, [1.0, np.inf], "frequency of node 1 must be a finite"),
-        ({(0, 1): 0.2}, np.nan, None, "echo dt must be a finite"),
-        ({(0, 1): 1j}, 1.0, None, r"coupling \(0, 1\) must be a finite real"),
-        ({(0.5, 1): 1.0}, 1.0, None, "node pairs"),
-        ({(0, 1, 2): 1.0}, 1.0, None, "node pairs"),
+    def test_large_networks_capped_by_the_gray_sequence(self):
+        rng = np.random.default_rng(16)
+        couplings = {(mu, nu): rng.normal() for mu in range(16) for nu in range(mu + 1, 16)}
+        rep = selective_network_echo(16, couplings, 1.3, rng.normal(size=16).tolist())
+        assert rep.cycle_length == 2 ** 16 and rep.single_node_steps and rep.residual < 1e-10
+        with pytest.raises(CapExceeded, match="N <= 20, got 21"):
+            selective_network_echo(21, {}, 1.0)
+
+    @pytest.mark.parametrize("n_nodes, couplings, dt, frequencies, match", [
+        (3, {(0, 1): np.nan}, 1.0, None, r"coupling \(0, 1\) must be a finite"),
+        (3, {(0, 1): 0.2}, 1.0, [1.0, np.inf], "frequency of node 1 must be a finite"),
+        (3, {(0, 1): 0.2}, np.nan, None, "echo dt must be a finite"),
+        (3, {(0, 1): 1j}, 1.0, None, r"coupling \(0, 1\) must be a finite real"),
+        (3, {(0.5, 1): 1.0}, 1.0, None, "node pairs"),
+        (3, {(0, 1, 2): 1.0}, 1.0, None, "node pairs"),
+        (-3, {}, 1.0, None, r"need N >= 1, got -3 \(int\)"),
+        (0, {}, 1.0, None, r"need N >= 1, got 0 \(int\)"),
+        (2.5, {}, 1.0, None, r"need N >= 1, got 2.5 \(float\)"),
+        (True, {}, 1.0, None, r"need N >= 1, got True \(bool\)"),
+        (3, {}, "1", None, "echo dt must be a finite real"),
     ], ids=["nan-coupling", "inf-frequency", "nan-dt", "complex-coupling", "fractional-node",
-            "node-triple"])
-    def test_bad_inputs_named(self, couplings, dt, frequencies, match):
+            "node-triple", "negative-nodes", "no-nodes", "fractional-nodes", "boolean-nodes", "string-dt"])
+    def test_bad_inputs_named(self, n_nodes, couplings, dt, frequencies, match):
         with pytest.raises(InputError, match=match):
-            selective_network_echo(3, couplings, dt, frequencies)
+            selective_network_echo(n_nodes, couplings, dt, frequencies)
+
+
+def cycle_lengths(perm):
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        k, length = start, 0
+        while k not in seen:
+            seen.add(k)
+            k, length = perm[k], length + 1
+        lengths.append(length)
+    return lengths
+
+
+class TestCycleKernel:
+    @PROPERTY
+    @given(st.integers(1, 12), st.integers(1, 40), st.booleans(), seeds)
+    def test_matches_the_walk(self, n, steps, returning, seed):
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        lengths = cycle_lengths(perm)
+        if returning:  # a power that returns every state, which may also scale it
+            steps *= math.lcm(*lengths)
+        log_factors = 1j * rng.uniform(-np.pi, np.pi, n) + (rng.normal(0.0, 0.1, n) if returning else 0.0)
+        got = protocols._monomial_power_distance(perm, log_factors, steps)
+        walk = oracles.monomial_power_distance(perm, np.exp(log_factors), steps)
+        if all(steps % length == 0 for length in lengths):  # relative for scaled factors
+            assert abs(got - walk) < 1e-12 * max(1.0, walk)
+        else:
+            assert got >= math.sqrt(2) - 1e-12 and walk >= math.sqrt(2) - 1e-12
+
+    def test_cost_does_not_depend_on_steps(self):
+        # 2^50 steps round one 1024-cycle: far beyond any walk, and the cycle returns
+        perm = np.roll(np.arange(1024), 1)
+        log_factors = 1j * np.random.default_rng(3).uniform(-np.pi, np.pi, 1024)
+        assert protocols._monomial_power_distance(perm, log_factors, 2 ** 50) < 1e-12
+        assert protocols._monomial_power_distance(perm, log_factors, 2 ** 50 + 1) >= math.sqrt(2) - 1e-12
+
+    def test_no_permutation_is_the_largest_distance(self):
+        got = protocols._monomial_power_distance(np.array([1, 0, 0]), np.zeros(3, dtype=complex), 3)
+        assert got == 2.0
 
 
 class TestEchoProperties:
