@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
+from .errors import CapExceeded, DimensionMismatch, InputError
 
 
 def root_of_unity(n: int, k: int = 1) -> complex:
@@ -381,6 +382,19 @@ def _node_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def _check_count(value, need: str, cap=None, low: int = 1):
+    """Refuse a count that is no whole number >= ``low``, or exceeds ``cap``, before it sizes an array."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InputError(f"{need} >= {low}, got {value!r} ({type(value).__name__})")
+    if cap is not None and value > cap:
+        raise CapExceeded(f"{need} <= {cap}, got {value}")
+
+
+def _check_real(value, what: str):
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite real number, got {value!r}")
+
+
 def _finite_stack(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Complex array whose trailing axes have ``shape``; entries must be finite."""
     m = np.asarray(x, dtype=complex)
@@ -550,6 +564,7 @@ def two_generator_span(n: int) -> SpanReport:
     Solves (n-1)*t = a and (n-1)*s = b mod n (t = -a, s = -b), builds the
     word S^t P^s, folds its exact phase and verifies the matrix product.
     """
+    _check_count(n, "the two-generator span needs n", low=2)
     words = {}
     max_err = 0.0
     for a in range(n):

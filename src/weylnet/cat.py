@@ -104,13 +104,21 @@ class CatProfile:
 def cat_profile(n: int, n_nodes: int) -> CatProfile:
     if n < 2 or n_nodes < 2:
         raise InputError("profile requires n >= 2 and N >= 2")
-    if n_nodes * math.log2(n) >= 1024:  # Y_N is close to n^N, which must stay below 2^1024
-        raise CapExceeded(f"n^N = {n}^{n_nodes} leaves the float range of the profile")
+    _check_float_range(n, n_nodes)  # Y_N is close to n^N
     return CatProfile(n=n, n_nodes=n_nodes)
+
+
+def _check_float_range(n: int, m: int) -> None:
+    """Refuse n^m >= 2^1024, which leaves the float range (and costs an m-digit integer)."""
+    if m * math.log2(n) >= 1024:
+        raise CapExceeded(f"n^m = {n}^{m} leaves the float range of the profile")
 
 
 def purity_profile_value(n: int, m: int) -> float:
     """p_m = (n^(m-1) - 1)/(n^m - 1) for proper clusters (0 at m = 1)."""
+    if n < 2 or m < 1:
+        raise InputError(f"purity profile needs n >= 2 and m >= 1, got n={n}, m={m}")
+    _check_float_range(n, m)
     return float((n ** (m - 1) - 1) / (n ** m - 1))
 
 

@@ -244,6 +244,8 @@ def cmd_fig_purity(n_range, m_range, output):
         raise InputError(f"bad range: {exc}") from exc
     if nlo < 2 or mlo < 1 or nhi < nlo or mhi < mlo:
         raise InputError("ranges must satisfy 2 <= n and 1 <= m, lo <= hi")
+    if (nhi - nlo + 1) * (mhi - mlo + 1) > 2 ** 16:
+        raise CapExceeded(f"{nhi - nlo + 1} x {mhi - mlo + 1} rows exceed 2^16")
     rows = [(n, m, cat.purity_profile_value(n, m))
             for n in range(nlo, nhi + 1) for m in range(mlo, mhi + 1)]
     _emit(csv_lines("n,m,p_m", rows), output)

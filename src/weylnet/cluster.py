@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import WeylIndex, _node_dims, product_operator, weyl_factors, weyl_transform
 from .coherence import validate_state
-from .errors import CapExceeded, DimensionMismatch, InputError, VerificationFailure
+from .errors import CapExceeded, DimensionMismatch, InputError
 
 #: Global-matrix size cap: prod(dims) above this is refused, not degraded.
 DEFAULT_DIM_CAP = 4096
@@ -126,10 +126,6 @@ class NetworkState:
         return len(self.dims)
 
     @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
     def is_pure_vector(self) -> bool:
         return self._psi is not None
 
@@ -223,38 +219,20 @@ def reduced_entropy(state: NetworkState, keep) -> float:
 # correlation tensors
 # ---------------------------------------------------------------------------
 
-def _node_index_iter(n: int):
-    """Non-identity (a, b) pairs of one node, lexicographic."""
-    return (divmod(i, n) for i in range(1, n * n))
-
-
 def correlation_tensors(state: NetworkState, max_order: int) -> dict:
     """All correlation tensor entries up to the given cluster size.
 
-    Keys are :class:`ProductLabel`; values are tr{rho Q^dag}, read off one
-    Weyl transform of the state.  The all-identity label is included with
-    value 1.  Every modulus is checked against the loose bound
-    sqrt(prod dims).
+    Keys are :class:`ProductLabel` in index order; values are
+    tr{rho Q^dag}, read off one Weyl transform of the state.  The
+    all-identity label is included with value 1.
     """
     if not 0 <= max_order <= state.n_nodes:
         raise InputError(f"max_order {max_order} must be between 0 and the node count {state.n_nodes}")
-    u = weyl_transform(state.rho, state.dims)
-    bound = float(np.sqrt(state.total_dim)) + 1e-9
-    out = {}
-    nodes = range(state.n_nodes)
-    for m in range(0, max_order + 1):
-        for subset in itertools.combinations(nodes, m):
-            choices = [list(_node_index_iter(state.dims[i])) for i in subset]
-            for combo in itertools.product(*choices):
-                entries = [(0, 0)] * state.n_nodes
-                for node, ab in zip(subset, combo):
-                    entries[node] = ab
-                value = complex(u[tuple(x for ab in entries for x in ab)])
-                if abs(value) > bound:
-                    raise VerificationFailure(
-                        f"correlation value {abs(value):.3g} violates the sum-rule bound")
-                out[label_from_entries(entries, state.dims)] = value
-    return out
+    u = weyl_transform(state.rho, state.dims).reshape(tuple(n * n for n in state.dims))
+    support = sum(k != 0 for k in np.indices(u.shape, sparse=True))  # per node, k = a n + b
+    kept = np.nonzero(support <= max_order)
+    return {label_from_entries(map(divmod, ks, state.dims), state.dims): value
+            for *ks, value in zip(*(k.tolist() for k in kept), u[kept].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +258,10 @@ class ClusterSumTable:
 
     @property
     def sum_rule_residual(self) -> float:
+        """|total - target|: rounding only, since the Moebius sums telescope to the target.
+
+        The per-subset check of the table is :func:`cluster_sum_direct`.
+        """
         return abs(self.total - self.sum_rule_target)
 
     def json_rows(self) -> list[dict]:
@@ -343,7 +325,6 @@ def entropy_bits(rho) -> float:
 class PurityRow:
     subset: tuple[int, ...]
     p: float
-    p_from_sums: float
     entropy: float
 
 
@@ -351,20 +332,16 @@ class PurityRow:
 class PurityReport:
     n: int
     rows: dict  # subset tuple -> PurityRow
-    table: ClusterSumTable  # the cluster sums the rows were cross-checked against
+    table: ClusterSumTable  # the cluster sums of the same reduced purities
 
 
 def purity_factors(state: NetworkState) -> PurityReport:
     """Normalized purity factor and entropy of every non-empty cluster.
 
-    p = (n^m tr{rho_S^2} - 1)/(n^m - 1) is computed from the reduced
-    state and, independently, from the cluster-sum route
-    (sum of Y over non-empty subsets of S) / (n^m - 1); both must agree.
-    One walk over the subset lattice reduces each subset once and takes
-    its purity and entropy from that matrix; the cluster sums it builds
-    are returned as ``table``, and their sums over the non-empty subsets
-    of every S are one subset zeta transform.  Requires uniform node
-    dimension.
+    p = (n^m tr{rho_S^2} - 1)/(n^m - 1) for the m-node subset S.  One
+    walk over the subset lattice reduces each subset once and takes its
+    purity and entropy from that matrix; the cluster sums of those
+    purities are returned as ``table``.  Requires uniform node dimension.
     """
     n = state.uniform_dim()
     purity, entropy = {}, {}
@@ -372,29 +349,10 @@ def purity_factors(state: NetworkState) -> PurityReport:
         side = _spectral_side(state, subset)
         purity[subset] = float(np.sum(np.abs(side) ** 2))
         entropy[subset] = entropy_bits(side)
-    table = _moebius_table(state, list(purity.values()))
-    sums = np.array(list(table.values.values()))
-    sums[0] = 0.0  # the empty subset is left out of every sum
-    for bit in range(state.n_nodes):  # in-place subset zeta transform: sums[S] = sum of Y(T), T in S
-        pairs = sums.reshape(-1, 2, 1 << bit)
-        pairs[:, 1] += pairs[:, 0]
-    nonempty_sums = dict(zip(table.values, sums.tolist()))
-    rows = {}
-    for size in range(1, state.n_nodes + 1):
-        for subset in itertools.combinations(range(state.n_nodes), size):
-            denom = n ** size - 1
-            direct = (n ** size * purity[subset] - 1.0) / denom
-            from_sums = nonempty_sums[subset] / denom
-            if abs(direct - from_sums) > 1e-9:
-                raise VerificationFailure(
-                    f"purity routes disagree on {subset}: {direct} vs {from_sums}")
-            rows[subset] = PurityRow(
-                subset=subset,
-                p=float(direct),
-                p_from_sums=float(from_sums),
-                entropy=entropy[subset],
-            )
-    return PurityReport(n=n, rows=rows, table=table)
+    rows = {subset: PurityRow(subset, (n ** size * purity[subset] - 1.0) / (n ** size - 1), entropy[subset])
+            for size in range(1, state.n_nodes + 1)
+            for subset in itertools.combinations(range(state.n_nodes), size)}
+    return PurityReport(n=n, rows=rows, table=_moebius_table(state, list(purity.values())))
 
 
 # ---------------------------------------------------------------------------

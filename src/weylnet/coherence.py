@@ -11,12 +11,13 @@ hbar = 1 throughout; Hamiltonians are in angular-frequency units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import WeylIndex, as_operator, from_single_index, inverse_weyl_transform, weyl_transform
-from .errors import InputError
+from .basis import WeylIndex, _check_real, as_operator, from_single_index, inverse_weyl_transform, weyl_transform
+from .errors import CapExceeded, InputError
 from .io import csv_lines
 
 #: tolerance for state validation (hermiticity, trace, positivity)
@@ -139,8 +140,12 @@ def evolve_coherence(omega: np.ndarray, u0: np.ndarray, t: float) -> np.ndarray:
     The step is at most 0.002 / max(1, ||Omega||_2), which keeps the
     global error safely below 1e-8 for t*||H|| <= 10.
     """
+    _check_real(t, "evolution time")
     scale = max(1.0, float(np.linalg.norm(omega, 2)))
-    nsteps = max(1, int(np.ceil(abs(t) * scale / 0.002)))
+    steps = abs(t) * scale / 0.002
+    if steps > 10 ** 6:
+        raise CapExceeded(f"t = {t!r} needs {steps:.3g} RK4 steps, more than 10^6")
+    nsteps = max(1, math.ceil(steps))
     h = t / nsteps
     u = np.asarray(u0, dtype=complex).copy()
     for _ in range(nsteps):

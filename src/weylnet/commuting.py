@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import apply_products, weyl_factors
+from .basis import _check_count, apply_products, weyl_factors
 from .cluster import DEFAULT_DIM_CAP, ProductLabel, label_from_entries
 from .errors import CapExceeded, InputError
 
@@ -89,11 +89,17 @@ def _pure_entry_choices(n: int):
     return [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
 
 
+def _check_network(n, n_nodes) -> None:
+    _check_count(n, "commuting sets need n", low=2)
+    _check_count(n_nodes, "commuting sets need N")
+
+
 def construct_method_a(n: int, n_nodes: int) -> CommutingSet:
     """All combinations of the single-node shift family {U_a0, a != 0}.
 
     Size (n-1)^N; all-b-zero index vectors commute trivially.
     """
+    _check_network(n, n_nodes)
     dims = (n,) * n_nodes
     members = tuple(
         label_from_entries([(a, 0) for a in combo], dims)
@@ -109,6 +115,7 @@ def construct_method_b(n: int, n_nodes: int) -> CommutingSet:
     contributions cancel; an odd final node uses the shift family.
     Size (n^2-1)^(N/2) for even N and (n^2-1)^((N-1)/2) (n-1) for odd N.
     """
+    _check_network(n, n_nodes)
     dims = (n,) * n_nodes
     pair_choices = _pure_entry_choices(n)
     n_pairs, odd = divmod(n_nodes, 2)
@@ -128,10 +135,12 @@ def construct_method_b(n: int, n_nodes: int) -> CommutingSet:
 
 
 def method_a_size(n: int, n_nodes: int) -> int:
+    _check_network(n, n_nodes)
     return (n - 1) ** n_nodes
 
 
 def method_b_size(n: int, n_nodes: int) -> int:
+    _check_network(n, n_nodes)
     if n_nodes % 2 == 0:
         return (n * n - 1) ** (n_nodes // 2)
     return (n * n - 1) ** ((n_nodes - 1) // 2) * (n - 1)
@@ -318,8 +327,7 @@ def search_max_commuting(
     """
     if budget < 1:
         raise InputError(f"search budget must be >= 1, got {budget}")
-    if n < 2 or n_nodes < 1:
-        raise InputError(f"search needs n >= 2 levels and N >= 1 nodes, got n={n}, N={n_nodes}")
+    _check_network(n, n_nodes)
     n_vertices = (n * n - 1) ** n_nodes
     if n_vertices > vertex_cap:
         raise CapExceeded(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import WeylIndex, apply_per_node, as_operator, weyl_matrix
+from .basis import WeylIndex, _check_count, _check_real, apply_per_node, as_operator, weyl_matrix
 from .errors import CapExceeded, DimensionMismatch, InputError
 
 
@@ -76,19 +76,6 @@ def _monomial_power_distance(perm, log_factors, steps: int) -> float:
     size, rank = length[cycle], np.arange(n) - (np.cumsum(length) - length)[cycle]
     return _spectral_phase_distance(
         np.exp((steps * total[cycle] + 2j * np.pi * (steps % size * rank % size)) / size))
-
-
-def _check_count(value, need: str, cap=None):
-    """Refuse a count that is no whole number >= 1, or exceeds ``cap``, before it sizes an array."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InputError(f"{need} >= 1, got {value!r} ({type(value).__name__})")
-    if cap is not None and value > cap:
-        raise CapExceeded(f"{need} <= {cap}, got {value}")
-
-
-def _check_real(value, what: str):
-    if not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InputError(f"{what} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,8 +251,7 @@ def cyclic_to_pi_pulses(n: int) -> list[np.ndarray]:
     (last @ ... @ first) reproduces the shift |k> -> |k-1 mod n>
     entry-exactly.
     """
-    if n < 2:
-        raise InputError("need n >= 2")
+    _check_count(n, "cyclic shifts need n", low=2)
     pulses = []
     for k in range(n - 1):
         swap = np.eye(n, dtype=complex)

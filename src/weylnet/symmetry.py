@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _check_count, _check_real
 from .collective import collective_labels, collective_operator, placement_operator, placements
 from .errors import CapExceeded, InputError
 
@@ -74,10 +75,7 @@ def spin_basis(n_nodes: int) -> list[SpinClass]:
     every copy at once as an index map, so no 2^N x 2^N operator is
     formed (Bacon, Chuang & Harrow, PRL 97, 170502).
     """
-    if n_nodes < 1:
-        raise InputError(f"spin basis needs N >= 1 nodes, got {n_nodes}")
-    if n_nodes > 10:
-        raise CapExceeded(f"spin basis supported for 1 <= N <= 10, got {n_nodes}")
+    _check_count(n_nodes, "spin basis needs N", 10)
     dim = 2 ** n_nodes
     bits = 1 << np.arange(n_nodes)
     ones = np.sum(np.arange(dim)[:, None] & bits > 0, axis=1)
@@ -322,6 +320,8 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
     """
     from .protocols import hermitian_expm
 
+    _check_real(total_time, "scenario total_time")
+    _check_count(steps, "scenario needs steps", 10 ** 4)
     n_nodes = 4
     dim = 16
     projectors = spin_projectors(n_nodes)

@@ -297,6 +297,11 @@ class TestTwoGeneratorSpan:
         assert rep.all_reached
         assert rep.max_error < 1e-12
 
+    @pytest.mark.parametrize("n", [0, 1, -2, 2.5, True])
+    def test_span_needs_two_levels(self, n):
+        with pytest.raises(InputError, match=f"got {n!r}"):
+            basis.two_generator_span(n)
+
     def test_n4_word_closure(self):
         assert basis.word_closure_reaches_all(4)
 

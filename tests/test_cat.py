@@ -8,6 +8,7 @@ import pytest
 from weylnet import cat, cluster, collective
 from weylnet.cluster import NetworkState
 from weylnet.collective import CollectiveLabel
+from weylnet.errors import CapExceeded, InputError
 
 from goldens import GOLDEN_N2_THREE, GOLDEN_N2_TWO, GOLDEN_N3_TWO
 
@@ -71,6 +72,17 @@ class TestProfile:
         assert abs(profile.p(2) - 1 / 3) < 1e-12
         assert profile.p(3) == 1.0
         assert abs(cat.purity_profile_value(10, 5) - 9999 / 99999) < 1e-15
+
+    @pytest.mark.parametrize("n, m", [(2, 0), (1, 3), (0, 1), (2, -4)])
+    def test_profile_value_bad_input(self, n, m):
+        with pytest.raises(InputError, match=f"got n={n}, m={m}"):
+            cat.purity_profile_value(n, m)
+
+    @pytest.mark.parametrize("n, m", [(2, 1024), (3, 700), (2, 10 ** 9)])
+    def test_profile_value_beyond_float_range(self, n, m):
+        with pytest.raises(CapExceeded, match=f"{n}\\^{m} leaves the float range"):
+            cat.purity_profile_value(n, m)
+        assert cat.purity_profile_value(2, 1023) == 0.5
 
     def test_top_ratio_limit(self):
         # ratio approaches (n-1)/n; the deviation is exactly

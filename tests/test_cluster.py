@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylnet import cluster
-from weylnet.basis import WeylIndex, weyl_matrix
+from weylnet.basis import WeylIndex, weyl_matrix, weyl_transform
 from weylnet.cluster import NetworkState, label_from_entries
 from weylnet.errors import CapExceeded, DimensionMismatch, InputError
 
@@ -158,6 +158,27 @@ class TestCorrelationTensors:
                         prod *= singles[(node, label.entries[node])]
                     assert abs(value - prod) < 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(lambda d: np.prod(d) <= 64),
+           st.booleans(), st.data())
+    def test_labels_up_to_the_order_read_off_the_transform(self, dims, pure, data):
+        dims = tuple(dims)
+        max_order = data.draw(st.integers(0, len(dims)), label="max_order")
+        state = random_state(dims, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), pure=pure)
+        tensors = cluster.correlation_tensors(state, max_order)
+        u = weyl_transform(state.rho, dims)
+
+        def bits(value):
+            return np.array([value], dtype=complex).view(np.uint64).tolist()
+
+        want = sum(np.prod([dims[i] ** 2 - 1 for i in subset], dtype=int)
+                   for m in range(max_order + 1) for subset in itertools.combinations(range(len(dims)), m))
+        assert len(tensors) == want
+        for label, value in tensors.items():
+            assert label.dims == dims and label.cluster_size <= max_order
+            assert bits(value) == bits(u[tuple(x for ab in label.entries for x in ab)])
+            assert abs(value) <= 1 + 1e-12
+
 
 class TestClusterSums:
     def test_bell_values(self):
@@ -306,13 +327,13 @@ class TestPurityFactors:
 
 @pytest.mark.parametrize("n_nodes", range(1, 9))
 def test_sums_over_subsets_match_the_nested_sum(n_nodes):
-    """The zeta-transform cross-check of purity_factors against the sum over every subset."""
+    """Each purity factor equals the sum of Y over the non-empty subsets of its cluster."""
     state = random_state((2,) * n_nodes, np.random.default_rng(n_nodes), pure=n_nodes > 4)
     report = cluster.purity_factors(state)
     for subset, row in report.rows.items():
         nested = sum(report.table.values[t] for m in range(1, len(subset) + 1)
                      for t in itertools.combinations(subset, m))
-        assert abs(row.p_from_sums - nested / (2 ** len(subset) - 1)) < 1e-10
+        assert abs(row.p - nested / (2 ** len(subset) - 1)) < 1e-10
 
 
 class TestProductStateTest:
@@ -392,8 +413,6 @@ class TestValidationAndCaps:
         # 10^40 wraps around in int64; the cap must see the true product
         with pytest.raises(CapExceeded):
             NetworkState.from_pure(np.ones(1), (10 ** 5,) * 8)
-        st = bell_state()
-        assert st.total_dim == 4 and isinstance(st.total_dim, int)
 
     def test_non_finite_states_rejected(self):
         rho = np.eye(4, dtype=complex) / 4

@@ -5,7 +5,7 @@ import pytest
 
 from weylnet import coherence
 from weylnet.basis import WeylIndex, weyl_matrix
-from weylnet.errors import InputError
+from weylnet.errors import CapExceeded, InputError
 from weylnet.protocols import hermitian_expm
 
 
@@ -201,6 +201,16 @@ class TestGenerator:
         integrated = coherence.evolve_coherence(om, cv.u, t)
         mapped = coherence.rotation_matrix(hermitian_expm(h, t)) @ cv.u
         assert np.max(np.abs(integrated - mapped)) < 1e-8
+
+    @pytest.mark.parametrize("t, error, match", [
+        (float("nan"), InputError, "got nan"), (float("inf"), InputError, "got inf"),
+        (-float("inf"), InputError, "got -inf"), (1e308, CapExceeded, "more than 10"),
+        (1e9, CapExceeded, "5e\\+11 RK4 steps")])
+    def test_bad_time_refused_before_the_loop(self, t, error, match):
+        omega = coherence.generator_matrix(np.diag([0.5, -0.5]).astype(complex))
+        assert abs(np.linalg.norm(omega, 2) - 1.0) < 1e-12
+        with pytest.raises(error, match=match):
+            coherence.evolve_coherence(omega, np.zeros(3, dtype=complex), t)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):

@@ -160,6 +160,15 @@ class TestSearch:
         with pytest.raises(InputError):
             commuting.search_max_commuting(n, n_nodes)
 
+    @pytest.mark.parametrize("build", [commuting.construct_method_a, commuting.construct_method_b,
+                                       commuting.method_a_size, commuting.method_b_size])
+    @pytest.mark.parametrize("n, n_nodes, match", [
+        (1, 3, "need n >= 2, got 1"), (2, 0, "need N >= 1, got 0"), (2, -1, "need N >= 1, got -1"),
+        (2.5, 2, "got 2.5"), (2, True, "got True")])
+    def test_constructions_refuse_degenerate_networks(self, build, n, n_nodes, match):
+        with pytest.raises(InputError, match=match):
+            build(n, n_nodes)
+
     def test_cat_seed_is_clique(self):
         for n, n_nodes in [(2, 3), (2, 4), (3, 3)]:
             labels = oracles.pure_cluster_labels(n, n_nodes)

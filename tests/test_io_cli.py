@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -118,6 +119,17 @@ class TestCliCommands:
 
     def test_fig_purity_bad_range(self, runner):
         assert runner.invoke(main, ["fig-purity", "--n-range", "5:2"]).exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n-range", "2:2", "--m-range", "1:1000000000"], "1 x 1000000000 rows exceed 2^16"),
+        (["--m-range", "1000000000:1000000000"], "2^1000000000 leaves the float range"),
+    ], ids=["many-rows", "huge-m"])
+    def test_fig_purity_beyond_its_caps_exits_3_at_once(self, runner, args, message):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["fig-purity", *args])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines()[-1].startswith("error: ") and message in result.output
 
     def test_cat_profile(self, runner):
         result = runner.invoke(main, ["cat", "--dim", "2", "--nodes", "3", "--verify"])
@@ -589,6 +601,10 @@ def option_values(cheap):
     return st.one_of(st.sampled_from(JUNK), cheap.map(str))
 
 
+# cheap ranges, and ranges whose rows or powers are refused
+RANGES = st.one_of(st.tuples(st.integers(-1, 12), st.integers(-1, 12)),
+                   st.sampled_from([(1, 10 ** 9), (10 ** 9, 10 ** 9), (2, 2 ** 16 + 2), (1, 2000), (1, 1025)]),
+                   ).map(lambda r: f"{r[0]}:{r[1]}")
 COUNT_LISTS = st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2).map(lambda ns: ",".join(map(str, ns)))
 OUTPUT, FLAG = "an output file", "a flag"
 POSITIONAL = ""  # basis takes N as its one argument
@@ -602,7 +618,7 @@ ARGUMENT_COMMANDS = {
     "symmetry": {"--nodes": option_values(st.integers(1, 6))},
     "cat": {"--dim": option_values(st.integers(2, 4)), "--nodes": option_values(st.integers(1, 3)),
             "--verify": FLAG},
-    "fig-purity": {},
+    "fig-purity": {"--n-range": option_values(RANGES), "--m-range": option_values(RANGES)},
     "table-csum": {"--n": option_values(COUNT_LISTS), "--n-max": option_values(st.integers(1, 3))},
     "invariants": {"--model": st.sampled_from(["foerster", "renormalization", "stimulation"]),
                    "--params": option_values(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4).map(
@@ -618,6 +634,7 @@ class TestArgumentExitCodes:
     @given(st.data())
     def test_arguments_never_exit_1(self, data):
         command = data.draw(st.sampled_from(sorted(ARGUMENT_COMMANDS)))
+        start = time.perf_counter()
         with tempfile.TemporaryDirectory() as work:
             args = [command]
             for name, strategy in ARGUMENT_COMMANDS[command].items():
@@ -633,6 +650,8 @@ class TestArgumentExitCodes:
         assert result.exit_code in (0, 2, 3, 4), (args, result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit), args
         assert "Traceback" not in result.output, args
+        if command == "fig-purity":
+            assert time.perf_counter() - start < 1.0, args
 
 
 class TestFreshInterpreter:

@@ -277,6 +277,11 @@ class TestPiPulses:
             prod = p @ prod
         assert np.max(np.abs(prod - weyl_matrix(WeylIndex(n - 1, 0, n)))) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 0, 2.5, True, "3"])
+    def test_bad_level_count_rejected(self, n):
+        with pytest.raises(InputError, match=f"got {n!r}"):
+            cyclic_to_pi_pulses(n)
+
 
 class TestGray:
     def test_small_sequences(self):

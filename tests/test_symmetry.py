@@ -101,9 +101,9 @@ class TestSpinBasis:
         with pytest.raises(CapExceeded):
             spin_basis(11)
 
-    @pytest.mark.parametrize("n_nodes", [0, -2])
+    @pytest.mark.parametrize("n_nodes", [0, -2, 2.5, True, "3"])
     def test_nonpositive_nodes_rejected(self, n_nodes):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"got {n_nodes!r}"):
             spin_basis(n_nodes)
 
 
@@ -210,3 +210,14 @@ class TestScenario:
         assert rep.max_leakage < 1e-10
         assert abs(rep.pair_singlet_weights[0.0] - 1.0) < 1e-10
         assert rep.pair_singlet_scalar_residual < 1e-10
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"total_time": float("nan")}, InputError, "total_time must be a finite real number, got nan"),
+        ({"total_time": float("inf")}, InputError, "got inf"),
+        ({"steps": -3}, InputError, "steps >= 1, got -3"),
+        ({"steps": 2.5}, InputError, "got 2.5"),
+        ({"steps": 10 ** 9}, CapExceeded, "got 1000000000"),
+    ], ids=["nan-time", "inf-time", "negative-steps", "fractional-steps", "huge-steps"])
+    def test_bad_inputs_named(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            symmetry_breaking_scenario(**kwargs)
