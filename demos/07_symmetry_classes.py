@@ -7,6 +7,12 @@ chosen class, where symmetric evolution then keeps it.
 
 from weylnet import symmetry
 
+
+def rounded(weights):
+    # + 0.0 prints a weight that rounds to -0.0 as 0.0
+    return {f"{j:g}": round(w, 6) + 0.0 for j, w in weights.items()}
+
+
 print("== class structure by network size ==")
 print(f"{'N':>3} {'classes (j: multiplicity)':<40} {'parameters':>10}")
 for n_nodes in range(1, 7):
@@ -30,12 +36,10 @@ print(f"  independent parameters: rank {rep.independent_rank} of {rep.parameter_
 
 print("\n== selective preparation, then symmetric evolution ==")
 scen = symmetry.symmetry_breaking_scenario()
-print(f"  ground state weights: { {f'{j:g}': round(w, 6) for j, w in scen.initial_weights.items()} }")
-print(f"  after antisymmetrizing nodes 1-2: "
-      f"{ {f'{j:g}': round(w, 6) for j, w in scen.prepared_weights.items()} }")
+print(f"  ground state weights: {rounded(scen.initial_weights)}")
+print(f"  after antisymmetrizing nodes 1-2: {rounded(scen.prepared_weights)}")
 print(f"  leakage out of j=1 under random symmetric evolution (t <= 50): "
       f"{scen.max_leakage:.2e}")
-print(f"  doubly paired state weights: "
-      f"{ {f'{j:g}': round(w, 6) for j, w in scen.pair_singlet_weights.items()} }")
+print(f"  doubly paired state weights: {rounded(scen.pair_singlet_weights)}")
 print(f"  j=0 member is an eigenvector of every symmetric operator "
       f"(residual {scen.pair_singlet_scalar_residual:.2e})")

@@ -153,13 +153,8 @@ def cat_verify(n: int, n_nodes: int) -> CatReport:
         sample = [(0,) * n_nodes, (1,) * n_nodes, (1,) + (0,) * (n_nodes - 1),
                   tuple(k % n for k in range(n_nodes))]
         labels = sorted(set(sample))
-    vectors = [cat_state(n, lab) for lab in labels]
-
-    ortho_err = 0.0
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
-            target = 1.0 if labels[i] == labels[j] else 0.0
-            ortho_err = max(ortho_err, abs(np.vdot(vi, vj) - target))
+    vectors = np.array([cat_state(n, lab) for lab in labels])
+    ortho_err = np.max(np.abs(vectors.conj() @ vectors.T - np.eye(len(labels))))  # the Gram matrix
 
     profile = cat_profile(n, n_nodes)
     y_err = p_err = s_err = 0.0
@@ -189,12 +184,8 @@ def cat_verify(n: int, n_nodes: int) -> CatReport:
 
 def completeness_residual(n: int, n_nodes: int) -> float:
     """|| sum_c |cat_c><cat_c| - identity ||_max over the full basis."""
-    dim = n ** n_nodes
-    acc = np.zeros((dim, dim), dtype=complex)
-    for lab in cat_labels(n, n_nodes):
-        v = cat_state(n, lab)
-        acc += np.outer(v, v.conj())
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    vectors = np.array([cat_state(n, lab) for lab in cat_labels(n, n_nodes)])
+    return float(np.max(np.abs(vectors.T @ vectors.conj() - np.eye(len(vectors)))))
 
 
 def cat_collective_decomposition(label) -> dict:

@@ -509,8 +509,8 @@ def cmd_analyze(state_file, fmt, output):
             [lab.alpha, lab.beta, lab.gamma, lab.b, v.real, v.imag]
             for lab, v in coeffs.items() if abs(v) > 1e-12
         ]
-        report["symmetry_weights"] = {str(j): float(np.vdot(p, state.rho).real)
-                                      for j, p in symmetry.spin_projectors(state.n_nodes).items()}
+        weights = symmetry.class_weights(state.rho)
+        report["symmetry_weights"] = {str(j): w for j, w in weights.items()}
 
     if fmt == "json":
         _emit(json.dumps(report, indent=1, sort_keys=True) + "\n", output)

@@ -324,10 +324,11 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
     Hadamard, E_{m00,0} = H^(xN) diag(lambda) H^(xN) / 2^N where lambda
     depends only on the Hamming weight w of the x-basis index,
     N - 2w for m = 1 and ((N - 2w)^2 - N) / 2 for m = 2.  One
-    Walsh-Hadamard transform of psi0, then one phase multiply and one
-    inverse transform per time: O(N 2^N) per column and time, with no
-    dense operator and no diagonalization.  ``psi0`` is a state of
-    length 2^N or a stack of them as columns.
+    Walsh-Hadamard transform of psi0, one phase multiply and one inverse
+    transform that carries every time as a trailing axis: O(N 2^N) per
+    column and time, with no dense operator and no diagonalization.
+    ``psi0`` is a state of length 2^N or a stack of them as columns;
+    the result is a view of that transform.
     """
     check_collective_drive(m, n_nodes)
     dim = 2 ** n_nodes
@@ -342,7 +343,9 @@ def collective_control_states(m: int, times, n_nodes: int, psi0) -> np.ndarray:
     x = apply_per_node(HADAMARD, psi, n_nodes)
     phases = np.exp(-1j * np.multiply.outer(times, lam))
     phases = phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
-    return np.stack([apply_per_node(HADAMARD, p * x, n_nodes) / dim for p in phases])
+    # products formed time-major, as a transform per time formed them, so the bits match
+    waves = np.moveaxis(phases * x, 0, -1)
+    return np.moveaxis(apply_per_node(HADAMARD, waves, n_nodes) / dim, -1, 0)
 
 
 def _drive_eigenvalues(m: int, n_nodes: int, weight):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import _check_count, _check_real
 from .collective import collective_labels, collective_operator, placement_operator, placements
-from .errors import CapExceeded, InputError
+from .errors import InputError
 
 
 def permutation_operator(perm) -> np.ndarray:
@@ -146,13 +146,31 @@ def parameter_count_identity(
     return total_dim, param, xi0
 
 
-def spin_projectors(n_nodes: int) -> dict:
-    """j -> projector onto the full j eigenspace."""
-    out = {}
-    for cls in spin_basis(n_nodes):
-        vecs = cls.vectors.reshape(-1, 2 ** n_nodes)
-        out[cls.j] = vecs.T @ vecs.conj()
-    return out
+def _frame(classes: list[SpinClass]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, class index, copy index): the rows of the unitary V are every
+    class vector, class by class, copy by copy, m = j down to -j."""
+    frame = np.concatenate([c.vectors.reshape(-1, c.vectors.shape[-1]) for c in classes])
+    sizes = [c.multiplicity * c.degeneracy for c in classes]
+    copies = [np.repeat(np.arange(c.multiplicity), c.degeneracy) for c in classes]
+    return frame, np.repeat(np.arange(len(classes)), sizes), np.concatenate(copies)
+
+
+def class_weights(rho) -> dict:
+    """j -> tr(P_j rho) for a 2^N x 2^N operator, or a stack of them.
+
+    The weights are the diagonal of V* rho V^T in the class frame,
+    summed per class; no projector is formed.  A stack gives one array
+    of weights per class.
+    """
+    rho = np.asarray(rho)
+    dim = rho.shape[-1] if rho.ndim >= 2 else 0
+    if rho.shape[-2:] != (dim, dim) or dim < 1 or dim & (dim - 1):
+        raise InputError(f"class weights need 2^N x 2^N operators, got shape {rho.shape}")
+    classes = spin_basis(dim.bit_length() - 1)
+    frame, cls, _ = _frame(classes)
+    diagonal = np.sum((frame.conj() @ rho) * frame, axis=-1).real
+    weights = {c.j: np.sum(diagonal[..., cls == k], axis=-1) for k, c in enumerate(classes)}
+    return weights if rho.ndim > 2 else {j: float(w) for j, w in weights.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -248,46 +266,30 @@ class SuperselectionReport:
 def superselection_check(n_nodes: int) -> SuperselectionReport:
     """Verify the j-block structure of all permutation-symmetric members.
 
-    For every b = 0 collective operator: elements between different-j
-    vectors vanish; within one j, elements between different copies
-    vanish and the per-copy blocks coincide (Schur structure).  The
-    blocks of all operators, stacked as vectors, have full rank equal to
-    the operator count, matching sum_j (2j+1)^2.
+    Every b = 0 collective operator E is taken into the class frame once,
+    B = V* E V^T.  Elements between different-j rows vanish; within one
+    j, elements between different copies vanish and every copy's block
+    equals copy 0's (Schur structure).  The copy-0 blocks of all
+    operators, stacked as vectors, have full rank equal to the operator
+    count, matching sum_j (2j+1)^2.
     """
-    if n_nodes > 6:
-        raise CapExceeded("superselection check supported for N <= 6")
+    _check_count(n_nodes, "superselection check needs N", 7)
     classes = spin_basis(n_nodes)
-    ops = [collective_operator(lab, n_nodes) for lab in collective_labels(n_nodes, b_zero_only=True)]
-
-    cross_j = 0.0
-    cross_copy = 0.0
-    copy_mismatch = 0.0
-    compressed = []
-    for op in ops:
-        blocks = []
-        for ci, cls_i in enumerate(classes):
-            for ri in range(cls_i.multiplicity):
-                vi = cls_i.vectors[ri]
-                for cj, cls_j in enumerate(classes):
-                    for rj in range(cls_j.multiplicity):
-                        block = vi.conj() @ op @ cls_j.vectors[rj].T
-                        if ci != cj:
-                            cross_j = max(cross_j, float(np.max(np.abs(block))))
-                        elif ri != rj:
-                            cross_copy = max(cross_copy, float(np.max(np.abs(block))))
-                        elif ri == 0:
-                            blocks.append(block)
-                        else:
-                            ref = cls_i.vectors[0].conj() @ op @ cls_i.vectors[0].T
-                            copy_mismatch = max(copy_mismatch, float(np.max(np.abs(block - ref))))
-        compressed.append(np.concatenate([b.ravel() for b in blocks]))
-    stack = np.array(compressed)
-    rank = int(np.linalg.matrix_rank(stack, tol=1e-8))
+    frame, cls, copy = _frame(classes)
+    ops = np.array([collective_operator(lab, n_nodes)
+                    for lab in collective_labels(n_nodes, b_zero_only=True)])
+    b = frame.conj() @ ops @ frame.T
+    same_class = cls[:, None] == cls
+    same_copy = same_class & (copy[:, None] == copy)
+    # each row's partner: the same m in copy 0 of its class
+    partner = np.arange(len(cls)) - copy * np.array([c.degeneracy for c in classes])[cls]
+    mismatch = np.abs(b - b[:, partner][:, :, partner])
+    rank = int(np.linalg.matrix_rank(b[:, same_copy & (copy[:, None] == 0)], tol=1e-8))
     return SuperselectionReport(
         n_nodes=n_nodes,
-        max_cross_j_element=cross_j,
-        max_cross_copy_element=cross_copy,
-        max_copy_mismatch=copy_mismatch,
+        max_cross_j_element=float(np.abs(b[:, ~same_class]).max(initial=0.0)),
+        max_cross_copy_element=float(np.abs(b[:, same_class & ~same_copy]).max(initial=0.0)),
+        max_copy_mismatch=float(mismatch[:, same_copy].max(initial=0.0)),
         operator_count=len(ops),
         parameter_count=sum(c.degeneracy ** 2 for c in classes),
         independent_rank=rank,
@@ -324,11 +326,8 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
     _check_count(steps, "scenario needs steps", 10 ** 4)
     n_nodes = 4
     dim = 16
-    projectors = spin_projectors(n_nodes)
-
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0] = 1.0
-    initial = {j: float(np.real(psi0.conj() @ p @ psi0)) for j, p in projectors.items()}
 
     singlet = np.zeros(4, dtype=complex)
     singlet[0b01] = 1 / _S2
@@ -338,27 +337,20 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
     v = np.stack([singlet, ket[0b00], (ket[0b01] + ket[0b10]) / _S2, ket[0b11]], axis=1)
     u_prep = np.kron(v, np.eye(4, dtype=complex))
     psi1 = u_prep @ psi0
-    prepared = {j: float(np.real(psi1.conj() @ p @ psi1)) for j, p in projectors.items()}
+    paired = np.kron(singlet, singlet)
 
     rng = np.random.default_rng(0)
-    h = np.zeros((dim, dim), dtype=complex)
-    for lab in collective_labels(n_nodes, b_zero_only=True):
-        h += rng.normal() * collective_operator(lab, n_nodes)
-    p1 = projectors[1.0]
+    ops = np.array([collective_operator(lab, n_nodes)
+                    for lab in collective_labels(n_nodes, b_zero_only=True)])
+    h = sum(rng.normal() * op for op in ops)
     times = np.linspace(0.0, total_time, steps + 1)
-    leakage = 0.0
-    for u in hermitian_expm(h, times):
-        psi_t = u @ psi1
-        leakage = max(leakage, abs(1.0 - float(np.real(psi_t.conj() @ p1 @ psi_t))))
-
-    paired = np.kron(singlet, singlet)
-    pair_weights = {j: float(np.real(paired.conj() @ p @ paired)) for j, p in projectors.items()}
-    scalar_residual = 0.0
-    for lab in collective_labels(n_nodes, b_zero_only=True):
-        op = collective_operator(lab, n_nodes)
-        image = op @ paired
-        expect = np.vdot(paired, image)
-        scalar_residual = max(scalar_residual, float(np.linalg.norm(image - expect * paired)))
+    # rows: the ground, prepared and paired states, then the prepared state at every time
+    states = np.vstack([psi0, psi1, paired, hermitian_expm(h, times) @ psi1])
+    weights = class_weights(states[:, :, None] * states[:, None, :].conj())
+    initial, prepared, pair_weights = ({j: float(w[k]) for j, w in weights.items()} for k in range(3))
+    leakage = float(np.max(np.abs(1.0 - weights[1.0][3:])))
+    images = ops @ paired  # an eigenvector of each member: images minus expectations times it vanish
+    residuals = np.linalg.norm(images - np.outer(images @ paired.conj(), paired), axis=1)
 
     return ScenarioReport(
         initial_weights=initial,
@@ -366,5 +358,5 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
         max_leakage=leakage,
         times=times,
         pair_singlet_weights=pair_weights,
-        pair_singlet_scalar_residual=scalar_residual,
+        pair_singlet_scalar_residual=float(np.max(residuals)),
     )

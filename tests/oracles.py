@@ -12,7 +12,9 @@ diagonalization, placements are deduplicated permutations, the clique
 search builds its full coloring as lists on every node, and the common
 eigenstate diagonalizes a random combination of dense group matrices.
 The spin basis takes S^2 and S_- as dense 2^N x 2^N products of the
-dense total spin, as the package did before it worked per S_z block.
+dense total spin, as the package did before it worked per S_z block;
+class weights come from one dense projector per class, and the
+superselection check walks every pair of classes and copies.
 The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
 Commuting sets are checked by dense commutators of their members, the
@@ -34,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from weylnet import symmetry
+from weylnet.basis import apply_per_node
 from weylnet.cluster import kron_all, label_from_entries
 from weylnet.collective import (
     ID2,
@@ -50,8 +54,9 @@ from weylnet.collective import (
     placements,
 )
 from weylnet.errors import InputError
-from weylnet.protocols import hermitian_expm, phase_distance
-from weylnet.symmetry import SpinClass, _deterministic_span
+from weylnet.io import csv_lines
+from weylnet.protocols import HADAMARD, _drive_eigenvalues, hermitian_expm, phase_distance
+from weylnet.symmetry import SpinClass, SuperselectionReport, _deterministic_span
 
 LETTERS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z, "P": SIGMA_PLUS, "M": SIGMA_MINUS}
 
@@ -626,3 +631,73 @@ def schedule_operators_from_json(text):
     """(kind, operator, dt) per segment of a schedule file, through the decode oracle."""
     return [(seg["kind"], operator_from_dict(seg["operator"]), float(seg.get("dt", 0.0)))
             for seg in json.loads(text)]
+
+
+def spin_projectors(n_nodes):
+    """j -> dense projector onto the full j eigenspace."""
+    out = {}
+    for cls in symmetry.spin_basis(n_nodes):
+        vecs = cls.vectors.reshape(-1, 2 ** n_nodes)
+        out[cls.j] = vecs.T @ vecs.conj()
+    return out
+
+
+def superselection_check(n_nodes):
+    """The superselection report from one block per pair of classes and copies."""
+    classes = symmetry.spin_basis(n_nodes)
+    ops = [collective_operator(lab, n_nodes) for lab in collective_labels(n_nodes, b_zero_only=True)]
+    cross_j = cross_copy = copy_mismatch = 0.0
+    compressed = []
+    for op in ops:
+        blocks = []
+        for ci, cls_i in enumerate(classes):
+            for ri in range(cls_i.multiplicity):
+                vi = cls_i.vectors[ri]
+                for cj, cls_j in enumerate(classes):
+                    for rj in range(cls_j.multiplicity):
+                        block = vi.conj() @ op @ cls_j.vectors[rj].T
+                        if ci != cj:
+                            cross_j = max(cross_j, float(np.max(np.abs(block))))
+                        elif ri != rj:
+                            cross_copy = max(cross_copy, float(np.max(np.abs(block))))
+                        elif ri == 0:
+                            blocks.append(block)
+                        else:
+                            ref = cls_i.vectors[0].conj() @ op @ cls_i.vectors[0].T
+                            copy_mismatch = max(copy_mismatch, float(np.max(np.abs(block - ref))))
+        compressed.append(np.concatenate([b.ravel() for b in blocks]))
+    return SuperselectionReport(
+        n_nodes=n_nodes,
+        max_cross_j_element=cross_j,
+        max_cross_copy_element=cross_copy,
+        max_copy_mismatch=copy_mismatch,
+        operator_count=len(ops),
+        parameter_count=sum(c.degeneracy ** 2 for c in classes),
+        independent_rank=int(np.linalg.matrix_rank(np.array(compressed), tol=1e-8)),
+    )
+
+
+def collective_control_states(m, times, n_nodes, psi0):
+    """The collective drive's states, one Walsh-Hadamard transform per time."""
+    dim = 2 ** n_nodes
+    psi = np.asarray(psi0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    index = np.arange(dim)
+    lam = _drive_eigenvalues(m, n_nodes, sum((index >> node) & 1 for node in range(n_nodes)))
+    x = apply_per_node(HADAMARD, psi, n_nodes)
+    phases = np.exp(-1j * np.multiply.outer(times, lam))
+    phases = phases.reshape(phases.shape + (1,) * (psi.ndim - 1))
+    return np.stack([apply_per_node(HADAMARD, p * x, n_nodes) / dim for p in phases])
+
+
+def trajectory_csv(times, states):
+    """Trajectory CSV with one cell per real and imaginary part."""
+    dim = len(states[0])
+    header = "t," + ",".join(f"re_{k},im_{k}" for k in range(dim))
+    rows = []
+    for t, psi in zip(times, states):
+        row = [float(t)]
+        for z in psi:
+            row += [float(z.real), float(z.imag)]
+        rows.append(row)
+    return csv_lines(header, rows)

@@ -106,6 +106,19 @@ class TestEncoding:
     def test_schedule_bytes_match_oracle(self, schedule):
         assert io.schedule_to_json(schedule) == json.dumps(oracles.schedule_to_dicts(schedule))
 
+    @PROPERTY
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_trajectory_bytes_match_oracle(self, dim, steps, data):
+        values = st.one_of(FLOATS, st.just(1e300))
+        states = np.array(data.draw(st.lists(values, min_size=2 * dim * steps, max_size=2 * dim * steps)))
+        states = states.view(complex).reshape(steps, dim)
+        times = data.draw(st.lists(values, min_size=steps, max_size=steps))
+        want = oracles.trajectory_csv(times, states)
+        assert io.trajectory_csv(times, states) == want
+        assert io.trajectory_csv(times, list(states)) == want  # a list of arrays, as echo passes
+        assert io.trajectory_csv(np.array(times), np.repeat(states, 2, axis=0)[::2]) == want  # strided
+        assert io.trajectory_csv(times, np.asfortranarray(states)) == want
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_entries_refused(self, value):
         # the readers refuse NaN and Infinity tokens, so the writers do not emit them

@@ -667,6 +667,24 @@ class TestFreshInterpreter:
         assert "weylnet.cli" in loaded
         assert loaded.isdisjoint(f"weylnet.{name}" for name in absent), sorted(loaded)
 
+    def test_analyze_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a seeded rank-3 seven-qubit state, analyzed with one and with two BLAS threads
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
+        v /= np.linalg.norm(v, axis=0)
+        rho = (v * rng.dirichlet(np.ones(3))) @ v.conj().T
+        path = tmp_path / "q7.json"
+        path.write_text(io.state_to_json(NetworkState.from_rho((rho + rho.conj().T) / 2, [2] * 7)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-m", "weylnet.cli", "analyze", str(path)],
+                                    env=env, capture_output=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_closed_stdout_keeps_clicks_silent_exit(self):
         read, write = os.pipe()
         os.close(read)

@@ -391,6 +391,17 @@ class TestCollectiveControlProperties:
             assert np.max(np.abs(state - oracles.collective_control(m, t, n_nodes) @ psi)) < 1e-12
 
     @PROPERTY
+    @given(drive_orders, st.integers(2, 12), st.lists(pulse_times, min_size=1, max_size=40),
+           st.sampled_from([None, 1, 3]), seeds)
+    def test_states_bit_equal_to_one_transform_per_time(self, m, n_nodes, times, columns, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 ** n_nodes,) if columns is None else (2 ** n_nodes, columns)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = collective_control_states(m, times, n_nodes, psi)
+        want = oracles.collective_control_states(m, times, n_nodes, psi)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @PROPERTY
     @given(drive_orders, st.integers(2, 7), pulse_times)
     def test_unitary_matches_dense_oracle(self, m, n_nodes, t):
         got = collective_control(m, t, n_nodes)

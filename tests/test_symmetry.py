@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from weylnet import symmetry
@@ -11,9 +13,9 @@ from weylnet.collective import collective_labels, collective_operator
 from weylnet.errors import CapExceeded, InputError
 from weylnet.symmetry import (
     FOUR_NODE_CLASS_TABLE,
+    class_weights,
     permutation_operator,
     spin_basis,
-    spin_projectors,
     superselection_check,
     symmetry_breaking_scenario,
     young_basis_n4,
@@ -155,6 +157,43 @@ class TestGoldenTable:
             assert np.linalg.norm(sz @ v - cv.m * v) < 1e-10
 
 
+class TestClassWeights:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_projectors(self, n_nodes, rank, seed):
+        # rank 1 draws a pure state; the trace is left free
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(2 ** n_nodes, rank)) + 1j * rng.normal(size=(2 ** n_nodes, rank))
+        rho = v @ v.conj().T
+        got = class_weights(rho)
+        want = {j: np.vdot(p, rho).real for j, p in oracles.spin_projectors(n_nodes).items()}
+        assert list(got) == list(want)
+        assert all(type(w) is float and abs(w - want[j]) < 1e-12 * np.trace(rho).real
+                   for j, w in got.items())
+        assert abs(sum(got.values()) - np.trace(rho).real) < 1e-12 * np.trace(rho).real
+
+    def test_stack_gives_each_members_weights(self):
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        stack = psi[:, :, None] * psi[:, None, :].conj()
+        got = class_weights(stack)
+        for k, rho in enumerate(stack):
+            assert {j: w[k] for j, w in got.items()} == pytest.approx(class_weights(rho), abs=1e-14)
+
+    @pytest.mark.parametrize("rho, error", [
+        (np.zeros((4, 2)), InputError),
+        (np.zeros(4), InputError),
+        (np.zeros((0, 0)), InputError),
+        (np.eye(1), InputError),
+        (np.eye(3), InputError),
+        (np.zeros((2, 3, 3)), InputError),
+        (np.broadcast_to(0.0, (2 ** 11, 2 ** 11)), CapExceeded),
+    ], ids=["non-square", "vector", "empty", "no-nodes", "dim-3", "stack-dim-3", "dim-2^11"])
+    def test_bad_shapes_refused(self, rho, error):
+        with pytest.raises(error):
+            class_weights(rho)
+
+
 class TestSuperselection:
     def test_four_nodes(self):
         rep = superselection_check(4)
@@ -170,6 +209,21 @@ class TestSuperselection:
         assert rep.max_cross_j_element < 1e-10
         assert rep.operator_count == rep.parameter_count == rep.independent_rank == 20
 
+    @pytest.mark.parametrize("n_nodes", range(1, 7))
+    def test_matches_pairwise_blocks(self, n_nodes):
+        got, want = superselection_check(n_nodes), oracles.superselection_check(n_nodes)
+        for field in ("max_cross_j_element", "max_cross_copy_element", "max_copy_mismatch"):
+            assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
+        assert (got.n_nodes, got.operator_count, got.parameter_count, got.independent_rank) == (
+            want.n_nodes, want.operator_count, want.parameter_count, want.independent_rank)
+
+    def test_seven_nodes_and_cap(self):
+        rep = superselection_check(7)
+        assert rep.operator_count == rep.parameter_count == rep.independent_rank == 120
+        assert max(rep.max_cross_j_element, rep.max_cross_copy_element, rep.max_copy_mismatch) < 1e-10
+        with pytest.raises(CapExceeded, match="N <= 7, got 8"):
+            superselection_check(8)
+
     def test_cross_class_elements_of_golden_vectors(self):
         vecs = {cv.j: [] for cv in FOUR_NODE_CLASS_TABLE}
         for cv in FOUR_NODE_CLASS_TABLE:
@@ -184,7 +238,7 @@ class TestSuperselection:
         assert worst < 1e-10
 
     def test_ground_state_stays_in_top_class(self):
-        p = spin_projectors(4)
+        p = oracles.spin_projectors(4)
         ground = np.zeros(16, dtype=complex)
         ground[0] = 1.0
         for lab in collective_labels(4, b_zero_only=True):
