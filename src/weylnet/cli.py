@@ -322,7 +322,7 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
 @click.option("--output", type=click.Path(), default=None)
 def cmd_control(n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, output):
     """Collective-drive pulse; reports special-case residuals and cat fidelity."""
-    from . import collective, protocols
+    from . import protocols
 
     area = _parse_angle(alpha_t)
     mm = int(m)
@@ -341,9 +341,9 @@ def cmd_control(n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, outpu
     ident_residual = float("nan")
     if mm == 1 and abs(area - math.pi / 2) < 1e-12:
         u = protocols.collective_control(mm, area, n_nodes)
-        target = (-1j) ** n_nodes * collective.collective_operator(
-            collective.CollectiveLabel(n_nodes, 0, 0, 0), n_nodes)
-        ident_residual = float(np.max(np.abs(u - target)))
+        flip = np.arange(2 ** n_nodes)  # the target (-i)^N E_{N00,0} sends |j> to |2^N - 1 - j>
+        u[flip[::-1], flip] -= (-1j) ** n_nodes
+        ident_residual = float(np.max(np.abs(u)))
     if mm == 2 and n_nodes % 2 == 1 and abs(area - math.pi / 2) < 1e-12:
         ident_residual = protocols.collective_control_phase_distance(mm, area, n_nodes)
     fidelity = protocols.cat_creation_fidelity(n_nodes) if n_nodes % 2 == 0 else float("nan")

@@ -63,13 +63,6 @@ def label_from_entries(entries, dims) -> ProductLabel:
     return ProductLabel(tuple((int(a), int(b)) for a, b in entries), tuple(int(n) for n in dims))
 
 
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def cluster_operator(label: ProductLabel) -> np.ndarray:
     """Kronecker product of the per-node basis unitaries, node order 1..N."""
     a, b = zip(*label.entries)

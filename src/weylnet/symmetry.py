@@ -13,7 +13,6 @@ magnetic number of a product state is (number of 1s - number of 0s)/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +52,10 @@ class SpinClass:
     """One total-j symmetry class with its aligned multiplicity copies.
 
     ``vectors[r][k]`` is the basis vector of copy r at magnetic number
-    m = j - k; copies are generated by lowering from a deterministic
-    orthonormal basis of the highest-weight space, which aligns them so
-    permutation-symmetric operators act identically in every copy.
+    m = j - k.  Each copy is one coupling path (the sequence of j values
+    met while the nodes are coupled one at a time), so S_- lowers every
+    copy alike and permutation-symmetric operators act identically in
+    every copy.
     """
 
     j: float
@@ -70,65 +70,35 @@ class SpinClass:
 def spin_basis(n_nodes: int) -> list[SpinClass]:
     """Simultaneous (S^2, S_z) eigenbasis organized by symmetry class.
 
-    Each class is built in the S_z block of its highest weight m = j,
-    where S^2 = N(4 - N)/4 + sum_{i<j} P_ij swaps bit pairs; S_- lowers
-    every copy at once as an index map, so no 2^N x 2^N operator is
-    formed (Bacon, Chuang & Harrow, PRL 97, 170502).
+    Couples one spin-1/2 node at a time, appended as the new least
+    significant bit (index 2i + bit), with Condon-Shortley
+    Clebsch-Gordan coefficients: class j of the smaller network feeds
+    J = j + 1/2 and, for j > 0, J = j - 1/2 (Bacon, Chuang & Harrow,
+    PRL 97, 170502).  Closed form: no eigensolver and no 2^N x 2^N
+    operator.  Copies of J come from j = J - 1/2 first.
     """
     _check_count(n_nodes, "spin basis needs N", 10)
-    dim = 2 ** n_nodes
-    bits = 1 << np.arange(n_nodes)
-    ones = np.sum(np.arange(dim)[:, None] & bits > 0, axis=1)
-    blocks = [np.flatnonzero(ones == k) for k in range(n_nodes + 1)]  # 2m = 2k - N
-    rank = np.empty(dim, dtype=int)  # position of each string inside its block
-    for block in blocks:
-        rank[block] = np.arange(len(block))
-
-    classes = []
-    for j2 in range(n_nodes, -1, -2):
-        j = j2 / 2
-        top = (n_nodes + j2) // 2  # ones at m = j
-        block = blocks[top]
-        s2 = np.diag(np.full(len(block), n_nodes * (4 - n_nodes) / 4))
-        for p, q in itertools.combinations(range(n_nodes), 2):
-            swap = ((block >> p ^ block >> q) & 1) * (1 << p | 1 << q)
-            s2[rank[block ^ swap], np.arange(len(block))] += 1.0
-        vals, vecs = np.linalg.eigh(s2)
-        sel = np.abs(vals - j * (j + 1)) < 1e-8
-        mult = int(np.sum(sel))  # >= 1: every j = N/2, N/2 - 1, ..., >= 0 occurs
-        chain = _deterministic_span(vecs[:, sel])  # block x mult, orthonormal
-        vectors = np.zeros((mult, j2 + 1, dim), dtype=complex)
-        vectors[:, 0, block] = chain.T
-        for k in range(1, j2 + 1):  # S_- from m = j - k + 1: sum the strings with one more 1
-            lower = blocks[top - k]
-            raised = lower[:, None] | bits
-            sources = rank[raised[raised != lower[:, None]].reshape(len(lower), -1)]
-            chain = chain[sources].sum(axis=1) / math.sqrt(j * (j + 1) - (j - k + 1) * (j - k))
-            vectors[:, k, lower] = chain.T
-        classes.append(SpinClass(j=j, multiplicity=mult, vectors=vectors))
-    return classes
-
-
-def _deterministic_span(space: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of a column span, seeded by computational order.
-
-    Projects the computational basis vectors in index order onto the
-    span and Gram-Schmidt-filters them, so the result is reproducible
-    and independent of eigensolver phase conventions.
-    """
-    dim, mult = space.shape
-    proj = space @ space.conj().T
-    chosen: list[np.ndarray] = []
-    for idx in range(dim):
-        v = proj[:, idx].copy()
-        for c in chosen:
-            v -= c * np.vdot(c, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            chosen.append(v / norm)
-            if len(chosen) == mult:
-                break
-    return np.stack(chosen, axis=1)
+    # 2j -> (copies, m = j .. -j, 2^n); one node: m = +1/2 is |1>, m = -1/2 is |0>
+    classes = {1: np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)}
+    for n in range(2, n_nodes + 1):
+        grown = {}
+        for j2 in range(n, -1, -2):  # 2J
+            up, down = classes.get(j2 - 1), classes.get(j2 + 1)  # j = J - 1/2 and j = J + 1/2
+            n_up = 0 if up is None else len(up)
+            n_down = 0 if down is None else len(down)
+            out = np.zeros((n_up + n_down, j2 + 1, 2 ** (n - 1), 2), dtype=complex)
+            m2 = j2 - 2 * np.arange(j2 + 1)  # 2M
+            if up is not None:  # |J,M> = sqrt((J+M)/2J) |j,M-1/2>|1> + sqrt((J-M)/2J) |j,M+1/2>|0>
+                np.multiply(np.sqrt((j2 + m2[:-1]) / (2 * j2))[:, None], up, out=out[:n_up, :-1, :, 1])
+                np.multiply(np.sqrt((j2 - m2[1:]) / (2 * j2))[:, None], up, out=out[:n_up, 1:, :, 0])
+            if down is not None:  # -sqrt((J-M+1)/(2J+2)) |j,M-1/2>|1> + sqrt((J+M+1)/(2J+2)) |j,M+1/2>|0>
+                np.multiply(-np.sqrt((j2 - m2 + 2) / (2 * j2 + 4))[:, None], down[:, 1:],
+                            out=out[n_up:, :, :, 1])
+                np.multiply(np.sqrt((j2 + m2 + 2) / (2 * j2 + 4))[:, None], down[:, :-1],
+                            out=out[n_up:, :, :, 0])
+            grown[j2] = out.reshape(n_up + n_down, j2 + 1, 2 ** n)
+        classes = grown
+    return [SpinClass(j=j2 / 2, multiplicity=len(v), vectors=v) for j2, v in classes.items()]
 
 
 def parameter_count_identity(

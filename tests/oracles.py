@@ -12,7 +12,8 @@ diagonalization, placements are deduplicated permutations, the clique
 search builds its full coloring as lists on every node, and the common
 eigenstate diagonalizes a random combination of dense group matrices.
 The spin basis takes S^2 and S_- as dense 2^N x 2^N products of the
-dense total spin, as the package did before it worked per S_z block;
+dense total spin, as the package did before it coupled one node at a
+time, and orthonormalizes each highest-weight space by Gram-Schmidt;
 class weights come from one dense projector per class, and the
 superselection check walks every pair of classes and copies.
 The operator JSON codec builds one dict per matrix entry and lets
@@ -38,7 +39,7 @@ import numpy as np
 
 from weylnet import symmetry
 from weylnet.basis import apply_per_node
-from weylnet.cluster import kron_all, label_from_entries
+from weylnet.cluster import label_from_entries
 from weylnet.collective import (
     ID2,
     SIGMA_MINUS,
@@ -56,9 +57,17 @@ from weylnet.collective import (
 from weylnet.errors import InputError
 from weylnet.io import csv_lines
 from weylnet.protocols import HADAMARD, _drive_eigenvalues, hermitian_expm, phase_distance
-from weylnet.symmetry import SpinClass, SuperselectionReport, _deterministic_span
+from weylnet.symmetry import SpinClass, SuperselectionReport
 
 LETTERS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z, "P": SIGMA_PLUS, "M": SIGMA_MINUS}
+
+
+def kron_all(mats):
+    """Kronecker product of the matrices in order, node 1 most significant."""
+    out = np.array([[1.0 + 0j]])
+    for m in mats:
+        out = np.kron(out, m)
+    return out
 
 
 def node_labels(dims):
@@ -192,6 +201,28 @@ def spin_basis(n_nodes):
             copies.append(np.stack(chain))
         classes.append(SpinClass(j=j, multiplicity=mult, vectors=np.stack(copies)))
     return classes
+
+
+def _deterministic_span(space):
+    """Orthonormal basis of a column span, seeded by computational order.
+
+    Projects the computational basis vectors in index order onto the
+    span and Gram-Schmidt-filters them, so the result is reproducible
+    and independent of eigensolver phase conventions.
+    """
+    dim, mult = space.shape
+    proj = space @ space.conj().T
+    chosen = []
+    for idx in range(dim):
+        v = proj[:, idx].copy()
+        for c in chosen:
+            v -= c * np.vdot(c, v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            chosen.append(v / norm)
+            if len(chosen) == mult:
+                break
+    return np.stack(chosen, axis=1)
 
 
 def network_zz_hamiltonian(n_nodes, couplings, frequencies=None):

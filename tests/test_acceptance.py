@@ -11,9 +11,11 @@ import numpy as np
 
 from weylnet import basis, cat, cluster, collective, commuting, protocols, symmetry
 from weylnet.basis import WeylIndex, weyl_matrix
-from weylnet.cluster import NetworkState, kron_all
+from weylnet.cluster import NetworkState
 from weylnet.collective import CollectiveLabel, collective_operator
 from weylnet.protocols import phase_distance
+
+from oracles import kron_all
 
 W3 = np.exp(2j * np.pi / 3)
 

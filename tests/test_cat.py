@@ -11,6 +11,7 @@ from weylnet.collective import CollectiveLabel
 from weylnet.errors import CapExceeded, InputError
 
 from goldens import GOLDEN_N2_THREE, GOLDEN_N2_TWO, GOLDEN_N3_TWO
+from oracles import kron_all
 
 W3 = np.exp(2j * np.pi / 3)
 S2, S3 = np.sqrt(2), np.sqrt(3)
@@ -118,7 +119,7 @@ class TestNumericalVerification:
                 a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                 q, _ = np.linalg.qr(a)
                 locals_.append(q)
-            u = cluster.kron_all(locals_)
+            u = kron_all(locals_)
             before = cluster.cluster_sums(NetworkState.from_pure(psi, (n,) * n_nodes))
             after = cluster.cluster_sums(NetworkState.from_pure(u @ psi, (n,) * n_nodes))
             for subset in before.values:

@@ -12,6 +12,8 @@ from weylnet.basis import WeylIndex, weyl_matrix, weyl_transform
 from weylnet.cluster import NetworkState, label_from_entries
 from weylnet.errors import CapExceeded, DimensionMismatch, InputError
 
+from oracles import kron_all
+
 
 def bell_state():
     v = np.zeros(4, dtype=complex)
@@ -45,7 +47,7 @@ def random_local_unitaries(dims, rng):
 
 
 def apply_local(state, unitaries):
-    u = cluster.kron_all(unitaries)
+    u = kron_all(unitaries)
     return NetworkState.from_rho(u @ state.rho @ u.conj().T, state.dims)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from weylnet import collective
-from weylnet.cluster import NetworkState, kron_all
+from weylnet.cluster import NetworkState
 from weylnet.collective import (
     ID2,
     SIGMA_X,
@@ -225,7 +225,7 @@ class TestSelectiveCollectiveTransform:
 
     def test_three_node_recovery(self):
         # placements of one y among three nodes: ("IIY", "IYI", "YII")
-        oracle = kron_all([SIGMA_Y, ID2, ID2])
+        oracle = oracles.kron_all([SIGMA_Y, ID2, ID2])
         got = collective.selective_from_collective(2, 0, 1, 0, 3)
         assert np.max(np.abs(got - oracle)) < 1e-12
 

@@ -661,7 +661,9 @@ class TestFreshInterpreter:
     @pytest.mark.parametrize("args, absent", [
         (["gray", "--nodes", "3"], ["cluster", "collective", "commuting", "symmetry", "cat"]),
         (["fig-purity"], ["collective", "commuting", "protocols", "symmetry"]),
-    ], ids=["gray", "fig-purity"])
+        (["control", "--nodes", "3", "--m", "1", "--alpha-t", "pi/2"],
+         ["collective", "cluster", "commuting", "symmetry", "cat"]),
+    ], ids=["gray", "fig-purity", "control"])
     def test_command_loads_only_what_it_runs(self, args, absent):
         loaded = loaded_modules(args)
         assert "weylnet.cli" in loaded

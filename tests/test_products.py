@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from weylnet import basis, cat, collective, commuting, protocols, symmetry
-from weylnet.cluster import ProductLabel, cluster_operator, kron_all
+from weylnet.cluster import ProductLabel, cluster_operator
 from weylnet.errors import CapExceeded, DimensionMismatch, InputError
 
 # derandomized so every run checks the same examples; no example database
@@ -83,7 +83,7 @@ class TestKernel:
             maps, values = zip(*(basis.monomial_factor(m[node]) for m in mats))
             factors.append((np.array(maps), np.array(values)))
         weights = rng.normal(size=3)
-        dense = [kron_all(m) for m in mats]
+        dense = [oracles.kron_all(m) for m in mats]
         got = basis.product_operator(factors, weights)
         assert np.max(np.abs(got - sum(w * m for w, m in zip(weights, dense)))) < TOL
         psi = rng.normal(size=math.prod(dims)) + 0j
@@ -176,7 +176,7 @@ class TestBuilders:
     def test_cat_from_base(self, n, label):
         ops = [basis.weyl_matrix(basis.WeylIndex(0, label[0], n))]
         ops += [basis.weyl_matrix(basis.WeylIndex(c, 0, n)) for c in label[1:]]
-        want = kron_all(ops) @ cat.cat_state(n, (0,) * len(label))
+        want = oracles.kron_all(ops) @ cat.cat_state(n, (0,) * len(label))
         assert np.max(np.abs(cat.cat_from_base(n, label) - want)) < TOL
         with pytest.raises(InputError):
             cat.cat_from_base(n, (n,) + label[1:])

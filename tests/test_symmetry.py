@@ -1,6 +1,10 @@
 """Permutation symmetry classes, superselection, symmetry breaking."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from weylnet.symmetry import (
     symmetry_breaking_scenario,
     young_basis_n4,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPermutationOperators:
@@ -75,10 +81,35 @@ class TestSpinBasis:
 
     @pytest.mark.parametrize("n_nodes", range(1, 11))
     def test_matches_dense_oracle(self, n_nodes):
+        # the oracle spans each class by another orthonormal basis, so compare
+        # projectors, then check S_z and the lowering that aligns the copies
         got, want = spin_basis(n_nodes), oracles.spin_basis(n_nodes)
         assert [(c.j, c.multiplicity) for c in got] == [(c.j, c.multiplicity) for c in want]
+        sx, sy, sz = oracles.collective_spin(n_nodes)
+        s_minus = sx - 1j * sy
         for g, w in zip(got, want):
-            assert np.max(np.abs(g.vectors - w.vectors)) < 1e-12
+            rows, oracle_rows = (c.vectors.reshape(-1, 2 ** n_nodes) for c in (g, w))
+            assert np.max(np.abs(rows.T @ rows.conj() - oracle_rows.T @ oracle_rows.conj())) < 1e-12
+            m = g.j - np.arange(g.degeneracy)
+            assert np.max(np.abs(g.vectors @ sz.T - m[:, None] * g.vectors)) < 1e-12
+            step = np.sqrt(g.j * (g.j + 1) - m[:-1] * (m[:-1] - 1))[:, None]
+            lowered = g.vectors[:, :-1] @ s_minus.T - step * g.vectors[:, 1:]
+            assert np.max(np.abs(lowered), initial=0.0) < 1e-12
+
+    def test_vector_bytes_do_not_depend_on_blas_threads(self):
+        # spin_basis(9) and spin_basis(10) built with one and with two BLAS threads
+        script = ("import hashlib; from weylnet.symmetry import spin_basis; "
+                  "print([hashlib.sha256(c.vectors.tobytes()).hexdigest() "
+                  "for n in (9, 10) for c in spin_basis(n)])")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout)
+        assert digests[0] == digests[1]
 
     def test_builds_no_dense_spin_operators(self, monkeypatch):
         def refuse(n_nodes):
