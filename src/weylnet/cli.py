@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from .errors import CapExceeded, InputError, VerificationFailure, WeylnetError
-from .io import (csv_lines, operator_from_json, schedule_from_json, schedule_to_json,
+from .io import (_schedule_pieces, csv_lines, operator_from_json, schedule_from_json,
                  state_from_json, trajectory_csv)
 
 EXIT_BAD_INPUT = 2
@@ -299,8 +299,10 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
         _emit(csv_lines("n,dt,cycles,residual,stroboscopic_residual,pi_pulses", rows), output)
         if report.residual > 1e-10:
             raise VerificationFailure(f"echo residual {report.residual:.3g} exceeds 1e-10")
-    if schedule_out is not None:
-        _emit(schedule_to_json(schedule) + "\n", schedule_out)
+    if schedule_out is not None:  # one segment at a time; each operator's text is formatted once
+        with open(schedule_out, "w") as fh:
+            fh.writelines(_schedule_pieces(schedule))
+            fh.write("\n")
     if trajectory_out is not None:
         if not 0 <= initial_basis < schedule.dim:
             raise InputError(f"initial basis index {initial_basis} out of range")

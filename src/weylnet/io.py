@@ -14,6 +14,12 @@ array in one call; any other cell goes through the per-cell
 conversion, which names what is wrong with it.  The writers format
 each row with one ``%`` operation over its interleaved real and
 imaginary parts, byte-identical to ``json.dumps`` of the cell dicts.
+
+Schedule files carry every segment's operator in full, yet reading and
+writing one costs what its distinct operators cost: the reader decodes
+each distinct "entries" grid once and builds one array and one checked
+``Segment`` per distinct segment, and the writer formats each distinct
+operator once and can stream the file segment by segment.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import re
 
 import numpy as np
 
@@ -133,44 +140,133 @@ def schedule_from_dicts(data) -> "PulseSchedule":
 
     if not isinstance(data, list):
         raise InputError("schedule JSON must be a list of segments")
-    segments = []
+    converted = {}  # (id of an entries grid, dim) -> its array: a shared grid converts once
     shared = {}  # equal operators become one array, as in the schedule that was written
+    made = {}  # (kind, operator, dt) -> its Segment: a repeated segment is checked once
+    segments = []
     for k, entry in enumerate(data):
         try:
             kind = entry["kind"]
-            op = operator_from_dict(entry["operator"])
+            op = _operator_once(entry["operator"], converted, shared)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed segment {k}: {exc}") from exc
-        op = shared.setdefault(op.tobytes(), op)
         if kind == "hamiltonian":
             try:
                 dt = float(entry.get("dt", 0.0))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"segment {k} has a malformed dt: {exc}") from exc
-            segments.append(Segment("hamiltonian", op, dt))
         elif kind == "gate":
-            segments.append(Segment("gate", op, 0.0))
+            dt = 0.0
         else:
             raise InputError(f"segment {k} has unknown kind {kind!r}")
+        key = (kind, id(op), dt.hex())  # hex keeps -0.0 apart
+        segment = made.get(key)
+        if segment is None:
+            segment = made[key] = Segment(kind, op, dt)
+        segments.append(segment)
     return PulseSchedule(segments)
+
+
+def _operator_once(spec, converted: dict, shared: dict) -> np.ndarray:
+    """operator_from_dict(spec), converting each (grid object, int dim) pair once."""
+    try:
+        dim = spec["dim"]
+        key = (id(spec["entries"]), dim) if type(dim) is int else None
+    except (KeyError, TypeError):
+        key = None
+    op = converted.get(key)
+    if op is None:
+        op = operator_from_dict(spec)
+        op = shared.setdefault(op.tobytes(), op)
+        if key is not None:
+            converted[key] = op
+    return op
+
+
+def _schedule_pieces(schedule):
+    """The schedule's JSON text in pieces; each distinct operator object is
+    formatted once, and its text is yielded for every segment that holds it."""
+    texts = {}
+    yield "["
+    for k, seg in enumerate(schedule.segments):
+        op = texts.get(id(seg.operator))
+        if op is None:
+            op = texts[id(seg.operator)] = operator_to_json(seg.operator)
+        yield '%s{"kind": %s, "operator": ' % (", " if k else "", json.dumps(seg.kind))
+        yield op
+        # a Hamiltonian's dt is finite: Segment checks it
+        yield ', "dt": %r}' % float(seg.duration) if seg.kind == "hamiltonian" else "}"
+    yield "]"
 
 
 def schedule_to_json(schedule) -> str:
     """Segment list as JSON; each distinct operator object is formatted once."""
-    texts = {}
-    parts = []
-    for seg in schedule.segments:
-        op = texts.get(id(seg.operator))
-        if op is None:
-            op = texts[id(seg.operator)] = operator_to_json(seg.operator)
-        text = '{"kind": %s, "operator": %s' % (json.dumps(seg.kind), op)
-        if seg.kind == "hamiltonian":
-            text += ', "dt": %r' % float(seg.duration)  # finite: Segment checks it
-        parts.append(text + "}")
-    return "[" + ", ".join(parts) + "]"
+    return "".join(_schedule_pieces(schedule))
+
+
+# an "entries" key and the whitespace around its colon, as JSON allows it
+_ENTRIES_KEY = re.compile(r'"entries"[ \t\n\r]*:[ \t\n\r]*')
+
+
+def _grids_decoded_once(text: str):
+    """The schedule of a text without backslashes, each distinct "entries" grid decoded once.
+
+    Each "entries" value is decoded in place, and the scan resumes after
+    it, so a key nested in a grid is part of that grid.  A grid whose text
+    up to the first "]]" was already decoded, as one complete value, is
+    not decoded again; the memo keeps where that text starts, not a copy
+    of it, so distinct grids cost what one decode of them costs.  The
+    rest of the text is decoded with the grid's index (and a space, so no
+    digit that follows can extend it) in its place; a repeated key keeps
+    JSON's last-wins meaning.  Without escapes every match is a key, and
+    the index text stands where a complete value stood, so the skeleton
+    is valid JSON exactly when the text is; only the decoder's nesting
+    limit now applies to each part alone, not to their sum.
+    Raises ValueError or RecursionError on invalid JSON.
+    """
+    decoder = json.JSONDecoder(object_hook=_cell_hook)
+    grids, seen = [], {}  # seen: text length -> [(where a proved grid text starts, its grid)]
+    parts, pos, close = [], 0, -1
+    while (match := _ENTRIES_KEY.search(text, pos)) is not None:
+        start = match.end()
+        if close - 2 < start:  # the first "]]" from start on, found once for all keys before it
+            close = text.find("]]", start)
+            close = len(text) if close < 0 else close + 2
+        size = close - start
+        i = next((j for at, j in seen.get(size, ()) if text.startswith(text[at:at + size], start)), None)
+        if i is None:
+            value, stop = decoder.raw_decode(text, start)
+            i = len(grids)
+            grids.append(value)
+            if stop == close:
+                seen.setdefault(size, []).append((start, i))
+        else:
+            stop = close
+        parts += (text[pos:start], "%d " % i)
+        pos = stop
+    parts.append(text[pos:])
+    data = json.loads("".join(parts), object_hook=_cell_hook)
+    for entry in data if isinstance(data, list) else ():
+        spec = entry.get("operator") if isinstance(entry, dict) else None
+        if isinstance(spec, dict) and "entries" in spec:
+            spec["entries"] = grids[spec["entries"]]
+    return data
 
 
 def schedule_from_json(text: str) -> "PulseSchedule":
+    """Schedule from segment-list JSON; decode and checks follow the distinct operators.
+
+    A text with a backslash (an escaped key may spell "entries"), or one
+    that is not valid JSON, is decoded whole, so errors name the text's
+    own position.
+    """
+    if "\\" not in text:
+        try:
+            data = _grids_decoded_once(text)
+        except (ValueError, RecursionError):  # invalid JSON: the whole-text decode says where
+            pass
+        else:
+            return schedule_from_dicts(data)
     return schedule_from_dicts(_loads(text))
 
 

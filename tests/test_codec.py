@@ -4,6 +4,8 @@ exit codes of every command that reads operator JSON."""
 import json
 import os
 import tempfile
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import io
+from weylnet import io, protocols
 from weylnet.cli import main
 from weylnet.cluster import NetworkState
 from weylnet.errors import InputError
@@ -133,6 +135,15 @@ class TestEncoding:
             io.operator_to_json(np.zeros((2, 3)))
 
 
+def assert_schedule_matches(schedule, expected):
+    """Segments bit-identical to the oracle's (kind, operator, dt) list."""
+    assert len(schedule.segments) == len(expected)
+    for seg, (kind, op, dt) in zip(schedule.segments, expected):
+        assert seg.kind == kind
+        assert_bit_identical(seg.operator, op)
+        assert float(seg.duration).hex() == dt.hex()
+
+
 def reserialize(data, seed):
     """The same JSON value with shuffled key order, int-valued integral cells,
     extra keys on some cells and varying whitespace."""
@@ -182,13 +193,7 @@ class TestDecoding:
     @given(schedules(), st.integers(0, 2 ** 32 - 1))
     def test_schedule_matches_oracle_reader(self, schedule, seed):
         text = reserialize(oracles.schedule_to_dicts(schedule), seed)
-        segments = io.schedule_from_json(text).segments
-        expected = oracles.schedule_operators_from_json(text)
-        assert len(segments) == len(expected)
-        for seg, (kind, op, dt) in zip(segments, expected):
-            assert seg.kind == kind
-            assert_bit_identical(seg.operator, op)
-            assert float(seg.duration).hex() == dt.hex()
+        assert_schedule_matches(io.schedule_from_json(text), oracles.schedule_operators_from_json(text))
 
     # one cell replaced: accepted values decode as the oracle decodes them,
     # rejected ones raise the oracle's exception class and message
@@ -221,6 +226,143 @@ class TestDecoding:
                 assert str(got.value) == str(exc)
             return
         assert_bit_identical(io.operator_from_json(text), expected)
+
+
+# ---------------------------------------------------------------------------
+# schedule files: each distinct grid decoded once, the writer streamed
+# ---------------------------------------------------------------------------
+
+def traceless_hamiltonian(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (a + a.conj().T) / 2
+    return h - np.trace(h).real / dim * np.eye(dim)
+
+
+ECHO, _ = echo_schedule(np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]]), 0.8, cycles=2)
+TEXT = io.schedule_to_json(ECHO)  # 8 segments, one Hamiltonian grid and one gate grid
+OTHER = json.dumps(oracles.operator_to_dict(np.diag([1.0, -1.0]))["entries"])  # hermitian, unitary
+
+
+def respaced(text):
+    """The same segments, every other one written without spaces."""
+    return "[" + ", ".join(json.dumps(seg, separators=[(", ", ": "), (",", ":")][k % 2])
+                           for k, seg in enumerate(json.loads(text))) + "]"
+
+
+EDGE_TEXTS = {
+    "escaped key": TEXT.replace('"entries"', '"entr\\u0069es"'),
+    "escaped repeated key, first": TEXT.replace('"entries": ', '"entries": %s, "entr\\u0069es": ' % OTHER, 1),
+    "escaped repeated key, last": TEXT.replace("]]}", ']], "entr\\u0069es": %s}' % OTHER, 1),
+    "repeated key, first": TEXT.replace('"entries": ', '"entries": %s, "entries": ' % OTHER, 1),
+    "repeated key, last": TEXT.replace("]]}", ']], "entries": %s}' % OTHER, 1),
+    "repeated key in every operator": TEXT.replace("]]}", ']], "entries": %s}' % OTHER),
+    "no spaces": json.dumps(json.loads(TEXT), separators=(",", ":")),
+    "indented": json.dumps(json.loads(TEXT), indent=2),
+    "whitespace around the colon": TEXT.replace('"entries": ', '"entries" \n:\t\r '),
+    "]] in an extra cell key": TEXT.replace("[[{", '[[{"x": [[1]], '),
+    "]] in one extra cell key": TEXT.replace("[[{", '[[{"x": [[1]], ', 1),
+    "extra operator key holding a grid": TEXT.replace('{"dim": ', '{"spare": %s, "dim": ' % OTHER),
+    "entries key before each operator": TEXT.replace(
+        '{"kind": ', '{"note": {"entries": %s}, "kind": ' % OTHER),
+    "entries key nested in a cell": TEXT.replace("[[{", '[[{"entries": [[1]], '),
+    "entries key nested in one cell": TEXT.replace("[[{", '[[{"entries": %s, ' % OTHER, 1),
+    "the string value entries": TEXT.replace('{"kind": ', '{"note": "entries", "entries": "entries", '
+                                                         '"kind": '),
+    "equal grids spelled differently": respaced(TEXT),
+    "a digit after the last grid": TEXT[:TEXT.rindex("]]}")] + "]]0}" + TEXT[TEXT.rindex("]]}") + 3:],
+    "truncated mid-grid": TEXT[:TEXT.index("]]", TEXT.index("]]") + 2) - 9],
+    "truncated in the last grid": TEXT[:TEXT.rindex("]]") - 3],
+}
+
+
+class TestScheduleReader:
+    @pytest.mark.parametrize("name", EDGE_TEXTS)
+    def test_edge_case_matches_oracle_reader(self, name, tmp_path):
+        text = EDGE_TEXTS[name]
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        exit_code = CliRunner().invoke(main, ["echo", "--schedule", str(path)]).exit_code
+        try:
+            expected = oracles.schedule_operators_from_json(text)
+        except ValueError:  # invalid JSON or a bad operator: the package's InputError
+            with pytest.raises(InputError):
+                io.schedule_from_json(text)
+            assert exit_code == 2
+            return
+        assert exit_code == 0
+        assert_schedule_matches(io.schedule_from_json(text), expected)
+        if "\\" not in text:  # the grid route itself, without the whole-text decode
+            assert_schedule_matches(io.schedule_from_dicts(io._grids_decoded_once(text)), expected)
+
+    def test_equal_grids_spelled_differently_share_one_array(self):
+        segments = io.schedule_from_json(EDGE_TEXTS["equal grids spelled differently"]).segments
+        assert len({id(seg.operator) for seg in segments}) == 2
+
+    def test_cost_follows_the_distinct_operators(self, monkeypatch):
+        schedule, _ = echo_schedule(traceless_hamiltonian(8, 23), 0.9, cycles=4)
+        text = io.schedule_to_json(schedule)
+        unitary = schedule.unitary()
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [(io, "_cell_hook"), (io, "operator_from_dict"),
+                            (Segment, "__post_init__"), (protocols, "hermitian_expm")]:
+            count(owner, name)
+        replayed = io.schedule_from_json(text)
+        assert np.array_equal(replayed.unitary(), unitary)
+        assert len(replayed.segments) == 64
+        assert len({id(seg) for seg in replayed.segments}) == 2
+        # the cells of the two 8 x 8 grids, then the 64 segment and 64 operator objects
+        assert calls == {"_cell_hook": 2 * 64 + 2 * 64, "operator_from_dict": 2,
+                         "__post_init__": 2, "hermitian_expm": 1}
+
+    def test_distinct_grids_keep_no_second_copy_of_their_text(self):
+        # 32 distinct 16-dim grids: the memo notes where each grid's text starts, not the text
+        rng = np.random.default_rng(3)
+        text = io.schedule_to_json(PulseSchedule(
+            [Segment("hamiltonian", np.diag(rng.normal(size=16)), 0.5) for _ in range(32)]))
+        peaks = []
+        for decode in (lambda: json.loads(text, object_hook=io._cell_hook),
+                       lambda: io._grids_decoded_once(text)):
+            tracemalloc.start()
+            try:
+                decode()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]  # a copy of every grid's text would add about 0.6x
+
+
+class TestScheduleWriter:
+    def test_schedule_out_bytes_match_oracle(self, tmp_path):
+        h = traceless_hamiltonian(4, 7)
+        h_path, out = tmp_path / "h.json", tmp_path / "schedule.json"
+        h_path.write_text(io.operator_to_json(h))
+        result = CliRunner().invoke(main, ["echo", "--hamiltonian", str(h_path), "--dt", "0.7",
+                                           "--cycles", "3", "--schedule-out", str(out)])
+        assert result.exit_code == 0, result.output
+        schedule, _ = echo_schedule(h, 0.7, cycles=3)
+        written = out.read_bytes().decode()
+        assert written == io.schedule_to_json(schedule) + "\n"
+        assert written == json.dumps(oracles.schedule_to_dicts(schedule)) + "\n"
+
+    def test_replay_writes_the_file_it_read(self, tmp_path):
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        runner = CliRunner()
+        assert runner.invoke(main, ["echo", "--dim", "5", "--cycles", "2",
+                                    "--schedule-out", str(first)]).exit_code == 0
+        assert runner.invoke(main, ["echo", "--schedule", str(first),
+                                    "--schedule-out", str(again)]).exit_code == 0
+        assert again.read_bytes() == first.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,21 @@ class TestFreshInterpreter:
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_echo_schedule_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the schedule file of a 64-level echo over 3 cycles, and its replay's stdout
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            path = tmp_path / f"schedule-{threads}.json"
+            for args in (["echo", "--dim", "64", "--cycles", "3", "--schedule-out", str(path)],
+                         ["echo", "--schedule", str(path)]):
+                result = subprocess.run([sys.executable, "-m", "weylnet.cli", *args],
+                                        env=env, capture_output=True, timeout=300)
+                assert result.returncode == 0, result.stderr
+            outputs.append((path.read_bytes(), result.stdout))
+        assert outputs[0] == outputs[1]
+
     def test_closed_stdout_keeps_clicks_silent_exit(self):
         read, write = os.pipe()
         os.close(read)
