@@ -12,6 +12,7 @@ text, is bad input.  Each command imports the modules it runs.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import math
 import sys
@@ -100,12 +101,14 @@ def _option(explicit, config: dict, key: str, kind: click.ParamType, default):
         raise InputError(f"config value {key}={config[key]!r}: {exc.message}") from exc
 
 
-def _emit(text: str, output):
+def _emit(text, output):
+    """Write a str, or an iterable of str pieces, to stdout or to the file ``output``."""
+    pieces = (text,) if isinstance(text, str) else text
     if output is None:
-        click.echo(text, nl=False)
+        click.echo("".join(pieces), nl=False)
     else:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 @click.group(cls=_ExitCodes)
@@ -300,9 +303,7 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
         if report.residual > 1e-10:
             raise VerificationFailure(f"echo residual {report.residual:.3g} exceeds 1e-10")
     if schedule_out is not None:  # one segment at a time; each operator's text is formatted once
-        with open(schedule_out, "w") as fh:
-            fh.writelines(_schedule_pieces(schedule))
-            fh.write("\n")
+        _emit(itertools.chain(_schedule_pieces(schedule), "\n"), schedule_out)
     if trajectory_out is not None:
         if not 0 <= initial_basis < schedule.dim:
             raise InputError(f"initial basis index {initial_basis} out of range")

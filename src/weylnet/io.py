@@ -15,11 +15,12 @@ conversion, which names what is wrong with it.  The writers format
 each row with one ``%`` operation over its interleaved real and
 imaginary parts, byte-identical to ``json.dumps`` of the cell dicts.
 
-Schedule files carry every segment's operator in full, yet reading and
-writing one costs what its distinct operators cost: the reader decodes
-each distinct "entries" grid once and builds one array and one checked
-``Segment`` per distinct segment, and the writer formats each distinct
-operator once and can stream the file segment by segment.
+Schedule files carry every segment's operator in full, yet decoding,
+converting and checking one costs what its distinct operators cost: the
+reader decodes and converts a repeated "entries" grid once and checks
+each distinct segment that holds it once, so equal segments share one
+array and one ``Segment``.  The writer formats each distinct operator
+once and can stream the file segment by segment.
 """
 
 from __future__ import annotations
@@ -136,42 +137,55 @@ def state_from_json(text: str) -> "NetworkState":
 
 
 def schedule_from_dicts(data) -> "PulseSchedule":
+    return _schedule_from_dicts(data, ())
+
+
+def _schedule_from_dicts(data, repeated) -> "PulseSchedule":
+    """The schedule of decoded segments.  Each "entries" grid in ``repeated``
+    (an object that several segments hold) is converted once, and each
+    distinct segment that holds one is checked once and shared."""
     from .protocols import PulseSchedule, Segment
 
     if not isinstance(data, list):
         raise InputError("schedule JSON must be a list of segments")
-    converted = {}  # (id of an entries grid, dim) -> its array: a shared grid converts once
+    repeated = {id(grid) for grid in repeated}
+    converted = {}  # (id of a repeated grid, dim) -> its array
     shared = {}  # equal operators become one array, as in the schedule that was written
-    made = {}  # (kind, operator, dt) -> its Segment: a repeated segment is checked once
+    made = {}  # (kind, array of a repeated grid, dt) -> its Segment
     segments = []
     for k, entry in enumerate(data):
         try:
             kind = entry["kind"]
-            op = _operator_once(entry["operator"], converted, shared)
+            op, key = _operator_once(entry["operator"], repeated, converted, shared)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed segment {k}: {exc}") from exc
+        # the kinds are the constants, not the file's copy of the word in each segment
         if kind == "hamiltonian":
             try:
-                dt = float(entry.get("dt", 0.0))
+                kind, dt = "hamiltonian", float(entry.get("dt", 0.0))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"segment {k} has a malformed dt: {exc}") from exc
         elif kind == "gate":
-            dt = 0.0
+            kind, dt = "gate", 0.0
         else:
             raise InputError(f"segment {k} has unknown kind {kind!r}")
-        key = (kind, id(op), dt.hex())  # hex keeps -0.0 apart
-        segment = made.get(key)
-        if segment is None:
-            segment = made[key] = Segment(kind, op, dt)
+        if key is None:
+            segment = Segment(kind, op, dt)
+        else:
+            key = (kind, id(op), dt.hex())  # hex keeps -0.0 apart
+            segment = made.get(key)
+            if segment is None:
+                segment = made[key] = Segment(kind, op, dt)
         segments.append(segment)
     return PulseSchedule(segments)
 
 
-def _operator_once(spec, converted: dict, shared: dict) -> np.ndarray:
-    """operator_from_dict(spec), converting each (grid object, int dim) pair once."""
+def _operator_once(spec, repeated: set, converted: dict, shared: dict):
+    """(operator_from_dict(spec), its memo key): a grid whose id is in
+    ``repeated`` converts once per int dim; any other key is None."""
     try:
-        dim = spec["dim"]
-        key = (id(spec["entries"]), dim) if type(dim) is int else None
+        dim, rows = spec["dim"], spec["entries"]
+        key = (id(rows), dim) if id(rows) in repeated and type(dim) is int else None
     except (KeyError, TypeError):
         key = None
     op = converted.get(key)
@@ -180,7 +194,7 @@ def _operator_once(spec, converted: dict, shared: dict) -> np.ndarray:
         op = shared.setdefault(op.tobytes(), op)
         if key is not None:
             converted[key] = op
-    return op
+    return op, key
 
 
 def _schedule_pieces(schedule):
@@ -208,65 +222,101 @@ def schedule_to_json(schedule) -> str:
 _ENTRIES_KEY = re.compile(r'"entries"[ \t\n\r]*:[ \t\n\r]*')
 
 
-def _grids_decoded_once(text: str):
-    """The schedule of a text without backslashes, each distinct "entries" grid decoded once.
+def _grid_cell(obj: dict) -> complex:
+    """The complex of a cell with real "re" and "im" and no other key; else ValueError."""
+    value = _cell_hook(obj) if len(obj) == 2 else obj
+    if type(value) is not complex:
+        raise ValueError("not a cell of two real parts")
+    return value
 
-    Each "entries" value is decoded in place, and the scan resumes after
-    it, so a key nested in a grid is part of that grid.  A grid whose text
-    up to the first "]]" was already decoded, as one complete value, is
-    not decoded again; the memo keeps where that text starts, not a copy
-    of it, so distinct grids cost what one decode of them costs.  The
-    rest of the text is decoded with the grid's index (and a space, so no
-    digit that follows can extend it) in its place; a repeated key keeps
-    JSON's last-wins meaning.  Without escapes every match is a key, and
-    the index text stands where a complete value stood, so the skeleton
-    is valid JSON exactly when the text is; only the decoder's nesting
-    limit now applies to each part alone, not to their sum.
-    Raises ValueError or RecursionError on invalid JSON.
+
+def _repeated_grid_texts(text: str) -> dict:
+    """(first start, length) -> later starts of each "entries" grid text that repeats.
+
+    A key's grid text is taken up to the first "]]" after it, and the scan
+    resumes there, so each character is scanned once; a key passed over
+    lies inside another value.  Equal texts are grouped by length and hash
+    and compared in full.
     """
-    decoder = json.JSONDecoder(object_hook=_cell_hook)
-    grids, seen = [], {}  # seen: text length -> [(where a proved grid text starts, its grid)]
-    parts, pos, close = [], 0, -1
+    first = {}  # (length, hash) of a grid text -> where it first starts
+    later = {}
+    pos = 0
     while (match := _ENTRIES_KEY.search(text, pos)) is not None:
         start = match.end()
-        if close - 2 < start:  # the first "]]" from start on, found once for all keys before it
-            close = text.find("]]", start)
-            close = len(text) if close < 0 else close + 2
-        size = close - start
-        i = next((j for at, j in seen.get(size, ()) if text.startswith(text[at:at + size], start)), None)
-        if i is None:
-            value, stop = decoder.raw_decode(text, start)
-            i = len(grids)
+        close = text.find("]]", start) + 2
+        if close < 2:
+            break
+        piece = text[start:close]
+        at = first.setdefault((close - start, hash(piece)), start)
+        if at != start and text.startswith(piece, at):  # else a hash collision
+            later.setdefault((at, close - start), []).append(start)
+        pos = close
+    return later
+
+
+def _grids_decoded_once(text: str):
+    """(segments, repeated grids) of a text without backslashes; each repeated grid decoded once.
+
+    The first text of each repeated grid is decoded on its own, and if
+    that proves it one complete grid of plain cells (a list of lists of
+    {"re", "im"} objects with real values and no other key, so nothing in
+    it nests deeper than in any schedule), every text of the group is
+    replaced by a marker: a string with an escaped NUL, which no string
+    of a text without backslashes can hold.  The rest, one-off grids
+    included, is decoded in place, and the markers are swapped for their
+    grid.
+
+    Every marker must end up as the "entries" of a segment's operator,
+    three levels deep as in every schedule, so the route accepts what the
+    whole-text decode accepts, with the same values.  Otherwise, as on
+    invalid JSON, it raises ValueError (or RecursionError), and the caller
+    decodes the text whole.
+    """
+    decoder = json.JSONDecoder(object_hook=_grid_cell)
+    grids, spans = [], []
+    for (at, size), starts in _repeated_grid_texts(text).items():
+        try:
+            value, stop = decoder.raw_decode(text, at)
+        except (ValueError, RecursionError):  # not a grid of plain cells: decoded in place
+            continue
+        if stop - at == size and type(value) is list and set(map(type, value)) <= {list} \
+                and set(map(type, itertools.chain.from_iterable(value))) <= {complex}:
+            spans += [(start, start + size, len(grids)) for start in [at, *starts]]
             grids.append(value)
-            if stop == close:
-                seen.setdefault(size, []).append((start, i))
-        else:
-            stop = close
-        parts += (text[pos:start], "%d " % i)
+    if not spans:
+        return json.loads(text, object_hook=_cell_hook), grids
+    parts, pos = [], 0
+    for start, stop, i in sorted(spans):
+        parts += (text[pos:start], '"\\u0000%d"' % i)
         pos = stop
     parts.append(text[pos:])
     data = json.loads("".join(parts), object_hook=_cell_hook)
+    placed = 0
     for entry in data if isinstance(data, list) else ():
         spec = entry.get("operator") if isinstance(entry, dict) else None
-        if isinstance(spec, dict) and "entries" in spec:
-            spec["entries"] = grids[spec["entries"]]
-    return data
+        marker = spec.get("entries") if isinstance(spec, dict) else None
+        if type(marker) is str and marker[:1] == "\0":
+            spec["entries"] = grids[int(marker[1:])]
+            placed += 1
+    if placed != len(spans):  # a marker outside an operator, where its grid nests deeper, or repeated
+        raise ValueError("a repeated grid outside the segments' operators")
+    return data, grids
 
 
 def schedule_from_json(text: str) -> "PulseSchedule":
     """Schedule from segment-list JSON; decode and checks follow the distinct operators.
 
     A text with a backslash (an escaped key may spell "entries"), or one
-    that is not valid JSON, is decoded whole, so errors name the text's
-    own position.
+    that the grid route does not take, is decoded whole, so errors name
+    the text's own position.
     """
     if "\\" not in text:
         try:
-            data = _grids_decoded_once(text)
-        except (ValueError, RecursionError):  # invalid JSON: the whole-text decode says where
+            data, repeated = _grids_decoded_once(text)
+        except (ValueError, RecursionError):  # the whole-text decode decides and says where
             pass
         else:
-            return schedule_from_dicts(data)
+            return _schedule_from_dicts(data, repeated)
     return schedule_from_dicts(_loads(text))
 
 

@@ -1,9 +1,13 @@
 """The operator JSON codec against the per-entry dict oracles, and the
 exit codes of every command that reads operator JSON."""
 
+import bisect
 import json
 import os
+import re
+import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -270,10 +274,26 @@ EDGE_TEXTS = {
     "the string value entries": TEXT.replace('{"kind": ', '{"note": "entries", "entries": "entries", '
                                                          '"kind": '),
     "equal grids spelled differently": respaced(TEXT),
+    "repeated grids out of turn": "[" + ", ".join(json.dumps(json.loads(TEXT)[k])
+                                                  for k in (0, 2, 1, 4, 3, 5, 7, 6)) + "]",
     "a digit after the last grid": TEXT[:TEXT.rindex("]]}")] + "]]0}" + TEXT[TEXT.rindex("]]}") + 3:],
+    "a grid that ends before the first ]]": TEXT.replace('{"dim": 2, "entries": ', '{"entries": ').replace(
+        "]]}", '] ], "dim": 2, "x": [[0]]}'),
     "truncated mid-grid": TEXT[:TEXT.index("]]", TEXT.index("]]") + 2) - 9],
     "truncated in the last grid": TEXT[:TEXT.rindex("]]") - 3],
 }
+
+# valid texts that the grid route leaves to the whole-text decode: a repeated
+# grid's marker that a repeated key drops, or that sits outside an operator
+DEFERRED = {"repeated key, last", "repeated key in every operator", "entries key before each operator"}
+
+
+def grid_text(text, k=0):
+    """The k-th "entries" grid of a schedule text written by io."""
+    start = 0
+    for _ in range(k + 1):
+        start = text.index('"entries": ', start) + len('"entries": ')
+    return text[start:text.index("]]", start) + 2]
 
 
 class TestScheduleReader:
@@ -292,8 +312,14 @@ class TestScheduleReader:
             return
         assert exit_code == 0
         assert_schedule_matches(io.schedule_from_json(text), expected)
-        if "\\" not in text:  # the grid route itself, without the whole-text decode
-            assert_schedule_matches(io.schedule_from_dicts(io._grids_decoded_once(text)), expected)
+        if "\\" not in text:  # the grid route itself: the oracle's segments, or it defers
+            try:
+                data, repeated = io._grids_decoded_once(text)
+            except ValueError:
+                assert name in DEFERRED
+            else:
+                assert name not in DEFERRED
+                assert_schedule_matches(io._schedule_from_dicts(data, repeated), expected)
 
     def test_equal_grids_spelled_differently_share_one_array(self):
         segments = io.schedule_from_json(EDGE_TEXTS["equal grids spelled differently"]).segments
@@ -314,19 +340,99 @@ class TestScheduleReader:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in [(io, "_cell_hook"), (io, "operator_from_dict"),
+        for owner, name in [(io, "_grid_cell"), (io, "_cell_hook"), (io, "operator_from_dict"),
                             (Segment, "__post_init__"), (protocols, "hermitian_expm")]:
             count(owner, name)
         replayed = io.schedule_from_json(text)
         assert np.array_equal(replayed.unitary(), unitary)
         assert len(replayed.segments) == 64
         assert len({id(seg) for seg in replayed.segments}) == 2
-        # the cells of the two 8 x 8 grids, then the 64 segment and 64 operator objects
-        assert calls == {"_cell_hook": 2 * 64 + 2 * 64, "operator_from_dict": 2,
+        # the cells of the two 8 x 8 grids (_grid_cell calls _cell_hook), then the 64
+        # segment and 64 operator objects; one exponential, as before the grids were
+        # shared (a guard: protocols caches it)
+        assert calls == {"_grid_cell": 2 * 64, "_cell_hook": 2 * 64 + 64 + 64, "operator_from_dict": 2,
                          "__post_init__": 2, "hermitian_expm": 1}
 
+    def test_distinct_equal_length_grids_scan_in_linear_time(self):
+        # 20 000 distinct 1-dim grids whose texts all have one length; a memo that
+        # compared each grid with every earlier one of its length took minutes
+        text = io.schedule_to_json(PulseSchedule(
+            [Segment("hamiltonian", np.array([[10000.0 + k]]), 0.5) for k in range(20000)]))
+        assert len({len(grid_text(text, k)) for k in (0, 9999, 19999)}) == 1
+
+        def best(decode):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                data = decode()
+                times.append(time.perf_counter() - start)
+            return min(times), data
+
+        loads_s, expected = best(lambda: json.loads(text, object_hook=io._cell_hook))
+        grids_s, (data, repeated) = best(lambda: io._grids_decoded_once(text))
+        assert data == expected and repeated == []
+        assert grids_s < 10 * loads_s + 0.05, (grids_s, loads_s)
+
+    # texts nested k levels deeper than a schedule: an extra segment key holding an
+    # "entries" key with the repeated Hamiltonian grid, an extra key in every cell,
+    # and one grid in every operator whose one cell is a list k deep (each nested
+    # so that no "]]" ends a grid early)
+    NESTED = {
+        "entries key in an extra segment key": lambda k: TEXT.replace(
+            '{"kind": ', '{"x": %s{"entries": %s}%s, "kind": ' % ("[" * k, grid_text(TEXT), "]" * k), 1),
+        "extra cell key": lambda k: TEXT.replace('{"re": ', '{"x": %s0%s, "re": ' % ('{"a": ' * k, "}" * k)),
+        "list cell": lambda k: re.sub(r'"entries": \[\[.*?\]\]',
+                                      lambda _: '"entries": [[%s0%s, 0]]' % ("[0, " * k, ", 0]" * k), TEXT),
+    }
+
+    @pytest.mark.parametrize("name", NESTED)
+    def test_routes_agree_at_the_nesting_limit(self, name):
+        # from some k on the whole-text decode refuses the depth; the grid route
+        # must refuse it at the same k, with the same message
+        text_at = self.NESTED[name]
+
+        def outcome(read, text):
+            try:
+                read(text)
+            except InputError as exc:
+                return str(exc)
+            return "read"
+
+        def whole(text):  # the whole-text decode, called as deep as schedule_from_json calls it
+            return io.schedule_from_dicts(io._loads(text))
+
+        refused = bisect.bisect(range(sys.getrecursionlimit()), False,
+                                key=lambda k: outcome(whole, text_at(k)).startswith("invalid JSON"))
+        assert refused > 100
+        for k in range(refused - 6, refused + 6):
+            assert outcome(io.schedule_from_json, text_at(k)) == outcome(whole, text_at(k)), k
+
+    def test_distinct_grids_add_no_memo_entries(self):
+        # 2 000 distinct 2-dim Hamiltonians: only repeated grids get conversion and
+        # Segment memo entries, so the reader peaks near a plain decode that builds
+        # one Segment per segment
+        rng = np.random.default_rng(5)
+        text = io.schedule_to_json(PulseSchedule(
+            [Segment("hamiltonian", np.diag(rng.normal(size=2)), 0.5) for _ in range(2000)]))
+
+        def plain():
+            return PulseSchedule([Segment(seg["kind"], io.operator_from_dict(seg["operator"]), seg["dt"])
+                                  for seg in json.loads(text, object_hook=io._cell_hook)])
+
+        peaks = []
+        for read in (plain, lambda: io.schedule_from_json(text)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the reader's equal-array dict adds about 0.15x; memo entries for every
+        # segment would add about 0.25x more
+        assert peaks[1] < 1.25 * peaks[0]
+
     def test_distinct_grids_keep_no_second_copy_of_their_text(self):
-        # 32 distinct 16-dim grids: the memo notes where each grid's text starts, not the text
+        # 32 distinct 16-dim grids: one-off grids are decoded in place, not sliced out
         rng = np.random.default_rng(3)
         text = io.schedule_to_json(PulseSchedule(
             [Segment("hamiltonian", np.diag(rng.normal(size=16)), 0.5) for _ in range(32)]))
