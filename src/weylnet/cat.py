@@ -134,7 +134,6 @@ class CatReport:
     max_purity_error: float
     max_entropy_error: float
     top_ratio: float
-    top_ratio_limit: float
 
 
 def cat_verify(n: int, n_nodes: int) -> CatReport:
@@ -168,7 +167,6 @@ def cat_verify(n: int, n_nodes: int) -> CatReport:
             p_err = max(p_err, abs(row.p - profile.p(len(subset))))
             if len(subset) < n_nodes:
                 s_err = max(s_err, abs(row.entropy - np.log2(n)))
-    ratio = profile.top_ratio
     return CatReport(
         n=n,
         n_nodes=n_nodes,
@@ -177,8 +175,7 @@ def cat_verify(n: int, n_nodes: int) -> CatReport:
         max_cluster_sum_error=float(y_err),
         max_purity_error=float(p_err),
         max_entropy_error=float(s_err),
-        top_ratio=ratio,
-        top_ratio_limit=(n - 1) / n,
+        top_ratio=profile.top_ratio,
     )
 
 

@@ -46,10 +46,6 @@ class ProductLabel:
             WeylIndex(a, b, n)  # range validation
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.dims)
-
-    @property
     def support(self) -> tuple[int, ...]:
         """Nodes (0-based) where the label is not the identity."""
         return tuple(i for i, e in enumerate(self.entries) if e != (0, 0))
@@ -316,7 +312,6 @@ def entropy_bits(rho) -> float:
 
 @dataclass
 class PurityRow:
-    subset: tuple[int, ...]
     p: float
     entropy: float
 
@@ -342,7 +337,7 @@ def purity_factors(state: NetworkState) -> PurityReport:
         side = _spectral_side(state, subset)
         purity[subset] = float(np.sum(np.abs(side) ** 2))
         entropy[subset] = entropy_bits(side)
-    rows = {subset: PurityRow(subset, (n ** size * purity[subset] - 1.0) / (n ** size - 1), entropy[subset])
+    rows = {subset: PurityRow((n ** size * purity[subset] - 1.0) / (n ** size - 1), entropy[subset])
             for size in range(1, state.n_nodes + 1)
             for subset in itertools.combinations(range(state.n_nodes), size)}
     return PurityReport(n=n, rows=rows, table=_moebius_table(state, list(purity.values())))

@@ -73,10 +73,6 @@ class CollectiveLabel:
         if min(self.alpha, self.beta, self.gamma, self.b) < 0:
             raise InputError("collective label entries must be non-negative")
 
-    @property
-    def order(self) -> int:
-        return self.alpha + self.beta + self.gamma
-
 
 def multiplicity(alpha: int, beta: int, gamma: int, n_nodes: int) -> int:
     """Omega: number of placements of the multiplicity class on N nodes."""

@@ -185,38 +185,23 @@ def _bitmasks(commute: np.ndarray) -> list[int]:
 def node_orbits(n: int) -> dict[tuple[int, int], int]:
     """Orbit id of every nonzero (a, b) in Z_n^2 under SL(2, Z_n).
 
-    Closes each pair under the generators S = [[0,-1],[1,0]] and
-    T = [[1,1],[0,1]]; ids count orbits in the order of their first
-    pair.  A map of determinant 1 keeps a d - b c, so it keeps which
-    labels commute.
+    There is one orbit per g = gcd(a, b, n), a proper divisor of n, and
+    its id is the rank of g among those divisors (Gottesman, 1998); the
+    orbit of g holds (0, g).  A map of determinant 1 keeps a d - b c, so
+    it keeps which labels commute.
     """
-    orbit: dict[tuple[int, int], int] = {}
-    count = 0
-    for start in _pure_entry_choices(n):
-        if start in orbit:
-            continue
-        orbit[start] = count
-        stack = [start]
-        while stack:
-            a, b = stack.pop()
-            for image in ((-b % n, a), ((a + b) % n, b)):
-                if image not in orbit:
-                    orbit[image] = count
-                    stack.append(image)
-        count += 1
-    return orbit
+    divisors = [d for d in range(1, n) if n % d == 0]
+    return {(a, b): divisors.index(math.gcd(a, b, n)) for a, b in _pure_entry_choices(n)}
 
 
 def label_orbits(rows: np.ndarray, n: int) -> np.ndarray:
     """Orbit index of every pure label row under local SL(2, Z_n) maps and node permutations.
 
-    A label's orbit is fixed by the sorted tuple of its per-node orbit
-    ids; orbits are numbered in the order of those tuples.
+    A label's orbit is fixed by the sorted tuple of its nodes'
+    gcd(a, b, n) (:func:`node_orbits`); orbits are numbered in the order
+    of those tuples.
     """
-    table = np.full((n, n), -1, dtype=np.int64)
-    for (a, b), oid in node_orbits(n).items():
-        table[a, b] = oid
-    keys = np.sort(table[rows[:, 0::2], rows[:, 1::2]], axis=1)
+    keys = np.sort(np.gcd(np.gcd(rows[:, 0::2], rows[:, 1::2]), n), axis=1)
     return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
 
 
@@ -303,7 +288,6 @@ class SearchResult:
     commuting_set: CommutingSet
     exact: bool
     expansions: int
-    n_vertices: int
 
 
 def search_max_commuting(
@@ -365,7 +349,6 @@ def search_max_commuting(
         commuting_set=CommutingSet(n=n, n_nodes=n_nodes, members=members, method=method),
         exact=not exhausted,
         expansions=expansions,
-        n_vertices=n_vertices,
     )
 
 

@@ -343,8 +343,6 @@ def csv_lines(header: str, rows) -> str:
 
 
 def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)

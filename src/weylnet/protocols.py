@@ -286,18 +286,10 @@ class GraySequence:
 
 
 def gray_sequence(n_bits: int) -> GraySequence:
-    """Sequence built by the doubling recursion.
-
-    Each member of the previous sequence is repeated and extended on the
-    right by 0,1 for even positions and 1,0 for odd positions.
-    """
+    """The reflected Gray code: the k-th code is k ^ (k >> 1) (Knuth, TAOCP 4A, 7.2.1.1)."""
     _check_count(n_bits, "gray sequences need N", 20)
-    codes = np.array([0, 1], dtype=np.uint64)
-    for _ in range(n_bits - 1):
-        doubled = np.repeat(codes << np.uint64(1), 2)
-        tail = np.tile(np.array([0, 1, 1, 0], dtype=np.uint64), len(codes) // 2 or 1)[: len(doubled)]
-        codes = doubled + tail
-    return GraySequence(n_bits=n_bits, codes=codes)
+    k = np.arange(1 << n_bits, dtype=np.uint64)
+    return GraySequence(n_bits=n_bits, codes=k ^ (k >> 1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +405,6 @@ class NetworkEchoReport:
     n_nodes: int
     cycle_length: int
     residual: float
-    single_node_steps: bool
     eigenstates_product = True  # the model places only Z and I; perfbench records it
 
 
@@ -467,5 +458,4 @@ def selective_network_echo(n_nodes: int, couplings, dt: float, frequencies=None)
         n_nodes=n_nodes,
         cycle_length=dim,
         residual=_monomial_power_distance(perm, -1j * energies * (dt / dim), dim),
-        single_node_steps=seq.hamming_check(),
     )

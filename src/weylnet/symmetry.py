@@ -275,7 +275,6 @@ class ScenarioReport:
     initial_weights: dict
     prepared_weights: dict
     max_leakage: float
-    times: np.ndarray
     pair_singlet_weights: dict
     pair_singlet_scalar_residual: float
 
@@ -326,7 +325,6 @@ def symmetry_breaking_scenario(total_time: float = 50.0, steps: int = 60) -> Sce
         initial_weights=initial,
         prepared_weights=prepared,
         max_leakage=leakage,
-        times=times,
         pair_singlet_weights=pair_weights,
         pair_singlet_scalar_residual=float(np.max(residuals)),
     )

@@ -20,8 +20,9 @@ The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
 Commuting sets are checked by dense commutators of their members, the
 pure cluster labels are one label object each, the commutation graph
-comes from one int64 product of their index vectors, and the Gray
-sequence from its closed form k ^ (k >> 1).  Echo periods are products
+comes from one int64 product of their index vectors, a node's label
+orbits from closing each pair under the SL(2, Z_n) generators S and T,
+and the Gray sequence from the doubling recursion.  Echo periods are products
 of dense segment unitaries: 2n n x n matrices and a matrix power for
 the single-system echo, a dense Gray permutation matrix times the step
 2^N times for the network echo, whose zz Hamiltonian is a sum of dense
@@ -566,10 +567,49 @@ def commutation_graph(labels):
     return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in commute_matrix(labels)]
 
 
+def node_orbits(n):
+    """Orbit id of every nonzero (a, b) in Z_n^2, by closure under S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].
+
+    Ids count orbits in the order of their first pair, (a, b) lexicographic.
+    """
+    orbit = {}
+    count = 0
+    for start in itertools.product(range(n), repeat=2):
+        if start == (0, 0) or start in orbit:
+            continue
+        orbit[start] = count
+        stack = [start]
+        while stack:
+            a, b = stack.pop()
+            for image in ((-b % n, a), ((a + b) % n, b)):
+                if image not in orbit:
+                    orbit[image] = count
+                    stack.append(image)
+        count += 1
+    return orbit
+
+
+def label_orbits(rows, n):
+    """Label orbit of every pure label row: the sorted closure orbit ids of its nodes, numbered in order."""
+    table = np.full((n, n), -1, dtype=np.int64)
+    for (a, b), oid in node_orbits(n).items():
+        table[a, b] = oid
+    keys = np.sort(table[rows[:, 0::2], rows[:, 1::2]], axis=1)
+    return np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+
+
 def reflected_gray_codes(n_bits):
-    """The reflected Gray code in closed form, k ^ (k >> 1)."""
-    k = np.arange(1 << n_bits, dtype=np.uint64)
-    return np.bitwise_xor(k, k >> np.uint64(1))
+    """The reflected Gray code by the doubling recursion.
+
+    Each member of the previous sequence is repeated and extended on the
+    right by 0,1 for even positions and 1,0 for odd positions.
+    """
+    codes = np.array([0, 1], dtype=np.uint64)
+    for _ in range(n_bits - 1):
+        doubled = np.repeat(codes << np.uint64(1), 2)
+        tail = np.tile(np.array([0, 1, 1, 0], dtype=np.uint64), len(codes) // 2 or 1)[: len(doubled)]
+        codes = doubled + tail
+    return codes
 
 
 def cat_seed_clique(n, n_nodes):

@@ -342,6 +342,13 @@ class TestProductStateTest:
     def test_product_state_no_witness(self):
         assert cluster.find_non_product_witness(product_01()) is None
 
+    def test_witness_search_finds_the_pair(self):
+        v = np.zeros(8, dtype=complex)
+        v[0b000] = v[0b110] = 1 / np.sqrt(2)  # (|00> + |11>)/sqrt(2) on nodes 0, 1 times |0> on node 2
+        result = cluster.find_non_product_witness(NetworkState.from_pure(v, (2, 2, 2)))
+        assert result.partition == ((0,), (1,), (2,)) and result.non_product
+        assert abs(result.joint_y - 3.0) < 1e-10 and result.partition_product < 1e-12
+
     def test_bell_witness(self):
         result = cluster.product_state_test(bell_state(), [(0,), (1,)])
         assert result.non_product

@@ -424,12 +424,23 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_node_orbits_are_gcd_classes(self, n):
-        orbit = commuting.node_orbits(n)
+        orbit = oracles.node_orbits(n)  # the closure under S and T, which the package's gcd classes must match
         pairs = [(a, b) for a in range(n) for b in range(n) if (a, b) != (0, 0)]
         assert sorted(orbit) == pairs
         by_orbit = {frozenset(p for p in pairs if orbit[p] == k) for k in set(orbit.values())}
         by_gcd = {frozenset(p for p in pairs if math.gcd(*p, n) == g) for g in range(1, n)}
         assert by_orbit == by_gcd - {frozenset()}
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_node_orbits_match_the_closure(self, n):
+        assert commuting.node_orbits(n) == oracles.node_orbits(n)
+
+    def test_label_orbits_match_the_closure(self):
+        sizes = [(n, n_nodes) for n in range(2, 71) for n_nodes in range(1, 8) if (n * n - 1) ** n_nodes <= 5000]
+        assert len(sizes) == 84
+        for n, n_nodes in sizes:
+            rows = commuting._pure_rows(n, n_nodes)
+            assert np.array_equal(commuting.label_orbits(rows, n), oracles.label_orbits(rows, n)), (n, n_nodes)
 
     def test_label_orbits_group_by_sorted_node_classes(self):
         rows = commuting._pure_rows(4, 2)

@@ -1,6 +1,7 @@
 """Serialization round trips and command-line behavior."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import cluster, io, symmetry
+from weylnet import cluster, io, protocols, symmetry
 from weylnet.cat import cat_state
 from weylnet.cli import main
 from weylnet.cluster import NetworkState
@@ -56,6 +57,11 @@ class TestSerialization:
         again = io.state_from_json(io.state_to_json(st))
         assert again.dims == (2, 2)
         assert np.array_equal(again.rho, st.rho)
+
+    def test_numpy_float_cells_print_as_floats(self):
+        # np.float64 subclasses float; its repr is "np.float64(0.5)" under numpy 2
+        rows = [(np.float64(0.5), np.float32(0.25), 0.1, np.float64(1e-300), 3)]
+        assert io.csv_lines("a,b,c,d,e", rows) == "a,b,c,d,e\n0.5,0.25,0.1,1e-300,3\n"
 
     def test_schema_fields(self):
         data = json.loads(io.operator_to_json(np.eye(2)))
@@ -396,6 +402,74 @@ class TestCliCommands:
         # ends in the two-branch superposition: |amp|^2 = 1/2 on |00> and |11>
         assert abs(final[1] ** 2 + final[2] ** 2 - 0.5) < 1e-10
         assert abs(final[7] ** 2 + final[8] ** 2 - 0.5) < 1e-10
+
+    @staticmethod
+    def control_row(runner, *args):
+        result = runner.invoke(main, ["control", *args])
+        assert result.exit_code == 0, result.output
+        header, row = result.output.strip().split("\n")
+        assert header == "nodes,m,alpha_t,identity_residual,cat_fidelity"
+        return row.split(",")
+
+    @pytest.mark.parametrize("n_nodes", range(1, 9))
+    def test_control_m1_identity_residual(self, runner, n_nodes):
+        residual = float(self.control_row(runner, "--nodes", str(n_nodes), "--m", "1", "--alpha-t", "pi/2")[3])
+        u = oracles.collective_control(1, math.pi / 2, n_nodes)
+        flip = np.arange(2 ** n_nodes)  # the target (-i)^N E_{N00,0} flips every bit
+        u[flip[::-1], flip] -= (-1j) ** n_nodes
+        assert residual <= 1e-12
+        assert abs(residual - np.max(np.abs(u))) <= 1e-12
+
+    @pytest.mark.parametrize("n_nodes", [3, 5, 7])
+    def test_control_m2_identity_residual(self, runner, n_nodes):
+        residual = float(self.control_row(runner, "--nodes", str(n_nodes), "--m", "2", "--alpha-t", "pi/2")[3])
+        expected = protocols.phase_distance(oracles.collective_control(2, math.pi / 2, n_nodes))
+        assert abs(residual - expected) <= 1e-12
+
+    @pytest.mark.parametrize("args", [
+        ("--nodes", "3", "--m", "1", "--alpha-t", "pi/4"),
+        ("--nodes", "3", "--m", "1", "--alpha-t", "pi"),
+        ("--nodes", "4", "--m", "2", "--alpha-t", "pi/2"),  # the m = 2 identity needs odd N
+        ("--nodes", "5", "--m", "2", "--alpha-t", "0.5"),
+    ])
+    def test_control_residual_is_nan_elsewhere(self, runner, args):
+        assert self.control_row(runner, *args)[3] == "nan"
+
+    @pytest.mark.parametrize("literal", ["pi", "PI", " pi "])
+    def test_control_area_pi_literal(self, runner, literal):
+        assert self.control_row(runner, "--nodes", "2", "--m", "1", "--alpha-t", literal)[2] == repr(math.pi)
+
+    @pytest.mark.parametrize("args", [
+        ["echo", "--dim", "3", "--initial-basis", "3"],
+        ["echo", "--dim", "3", "--initial-basis", "-1"],
+        ["control", "--nodes", "2", "--initial-basis", "4"],
+        ["control", "--nodes", "2", "--initial-basis", "-1"],
+    ])
+    def test_initial_basis_out_of_range_exits_2(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--trajectory-out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 2, result.output
+        assert "initial basis index" in result.output
+
+    def test_analyze_mixed_dimensions(self, runner, tmp_path):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        state = NetworkState.from_rho(a @ a.conj().T / np.trace(a @ a.conj().T), (2, 3))
+        path = tmp_path / "mixed.json"
+        path.write_text(io.state_to_json(state))
+        result = runner.invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["purity"] is None and "collective" not in report
+        assert len(report["cluster_sums"]) == 4
+        for entry in report["cluster_sums"]:
+            subset = [i - 1 for i in entry["subset"]]
+            assert abs(entry["Y"] - cluster.cluster_sum_direct(state, subset)) <= 1e-12
+        assert report["sum_rule_residual"] <= 1e-12
+        result = runner.invoke(main, ["analyze", str(path), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        lines = result.output.strip().split("\n")
+        assert lines[0] == "quantity,subset,value"
+        assert [line.split(",")[0] for line in lines[1:]] == ["Y"] * 4
 
     @pytest.mark.parametrize("area", ["pi/0", "inf", "nan", "-inf", "pi/x", "abc"])
     def test_control_bad_area_exits_2(self, runner, area):

@@ -299,6 +299,7 @@ class TestGray:
         seq = gray_sequence(n_bits)
         assert seq.hamming_check()
         assert seq.covers_all()
+        assert seq.codes.dtype == np.uint64
         assert np.array_equal(seq.codes, oracles.reflected_gray_codes(n_bits))
 
     def test_cap(self):
@@ -440,7 +441,7 @@ class TestNetworkEcho:
             3, {(0, 1): 0.3, (1, 2): 0.2, (0, 2): 0.15}, dt=1.1,
             frequencies=[1.0, 0.7, 0.3])
         assert rep.cycle_length == 8
-        assert rep.single_node_steps
+        assert gray_sequence(3).hamming_check()
         assert rep.residual < 1e-9
 
     def test_bad_pair_rejected(self):
@@ -461,7 +462,7 @@ class TestNetworkEcho:
         rng = np.random.default_rng(16)
         couplings = {(mu, nu): rng.normal() for mu in range(16) for nu in range(mu + 1, 16)}
         rep = selective_network_echo(16, couplings, 1.3, rng.normal(size=16).tolist())
-        assert rep.cycle_length == 2 ** 16 and rep.single_node_steps and rep.residual < 1e-10
+        assert rep.cycle_length == 2 ** 16 and gray_sequence(16).hamming_check() and rep.residual < 1e-10
         with pytest.raises(CapExceeded, match="N <= 20, got 21"):
             selective_network_echo(21, {}, 1.0)
 

@@ -1,10 +1,13 @@
-"""Every public function, method and property in ``src/weylnet`` has a caller.
+"""Every public function, method and property in ``src/weylnet`` has a caller,
+and every field of a public dataclass has a reader.
 
 A public name outside ``cli.py`` stays when the package itself, a demo or
 ``perfbench/`` uses it, the README names it, the acceptance tests use it,
 or it is one of the paper results below that only the tests check.
 Functions match as a name or attribute use; methods and properties match
-as an attribute use (``.name`` or ``.name(``).
+as an attribute use (``.name`` or ``.name(``).  A field stays only when
+those same files read it as an attribute (``x.field``), or it is one of
+the results below that only the tests check; a README word is no reader.
 """
 
 import ast
@@ -35,6 +38,14 @@ PAPER_RESULTS = {
     "symmetry.permutation_operator",
 }
 
+#: result fields that only the tests read
+RESULT_FIELDS = {
+    "cluster.ProductTestResult.partition",
+    "commuting.CommonEigenstate.completion",
+    "commuting.CommonEigenstate.pure_cluster_count",
+    "symmetry.SuperselectionReport.operator_count",
+}
+
 
 def public_surface():
     """(qualified name, attribute-only) of every public function, method and property."""
@@ -52,8 +63,20 @@ def public_surface():
     return out
 
 
+def dataclass_fields():
+    """Qualified name of every field of a public dataclass."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                out += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return out
+
+
 def uses(paths):
-    """(names, attributes) that the Python files use.
+    """(names, attributes) that the Python files use; an attribute counts when it is read.
 
     Imports count, and so does a string that is a dotted name such as
     ``"io.state_to_json"``, the way ``perfbench`` lists the functions it times.
@@ -63,7 +86,7 @@ def uses(paths):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -74,6 +97,7 @@ def uses(paths):
 
 
 SURFACE = public_surface()
+FIELDS = dataclass_fields()
 CALLERS = uses([*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
                 *(ROOT / "perfbench").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"])
 README = (ROOT / "README.md").read_text()
@@ -92,3 +116,13 @@ def test_public_name_has_a_caller(qualname, method):
 
 def test_paper_results_exist():
     assert PAPER_RESULTS <= {q for q, _ in SURFACE}
+
+
+@pytest.mark.parametrize("qualname", FIELDS)
+def test_result_field_is_read(qualname):
+    assert qualname.rsplit(".", 1)[1] in CALLERS[1] or qualname in RESULT_FIELDS, (
+        f"{qualname} is never read outside the tests: delete it, or list it as a result the tests check")
+
+
+def test_result_fields_exist():
+    assert RESULT_FIELDS <= set(FIELDS)
