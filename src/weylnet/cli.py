@@ -21,8 +21,8 @@ import click
 import numpy as np
 
 from .errors import CapExceeded, InputError, VerificationFailure, WeylnetError
-from .io import (_schedule_pieces, csv_lines, operator_from_json, schedule_from_json,
-                 state_from_json, trajectory_csv)
+from .io import (_read_text, _schedule_pieces, csv_lines, operator_from_json, read_state,
+                 schedule_from_json, trajectory_csv)
 
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
@@ -50,14 +50,6 @@ class _ExitCodes(click.Group):
             if exc.errno == errno.EPIPE:  # stdout closed by the reader: click's own exit
                 raise
             _fail(EXIT_BAD_INPUT, str(exc))
-
-
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 CONFIG_KEYS = ("seed", "n_max", "budget", "vertex_cap")
@@ -459,7 +451,7 @@ def cmd_collective_decompose(state_file, output):
     """Collective coefficient table of a two-level network state."""
     from . import collective
 
-    state = state_from_json(_read_text(state_file))
+    state = read_state(state_file)
     coeffs = collective.decompose_collective(state)
     recon = collective.reconstruct_collective(coeffs, state.n_nodes)
     if np.max(np.abs(recon - state.rho)) > 1e-12:
@@ -478,7 +470,7 @@ def cmd_analyze(state_file, fmt, output):
     from . import cluster
     from .coherence import expand_state
 
-    state = state_from_json(_read_text(state_file))
+    state = read_state(state_file)
     report: dict = {"dims": list(state.dims)}
 
     report["local_coherence"] = []

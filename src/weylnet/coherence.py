@@ -68,14 +68,25 @@ class CoherenceVector:
 
 
 def validate_state(rho) -> np.ndarray:
-    """Check hermiticity, unit trace and positivity to STATE_ATOL; return the array."""
+    """Check hermiticity, unit trace and positivity to STATE_ATOL; return the array.
+
+    Positivity is one Cholesky factorization: the hermitian part plus
+    STATE_ATOL times the identity has one exactly when its least
+    eigenvalue is above -STATE_ATOL.
+    """
     m = as_operator(rho)
     if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
         raise InputError("density operator is not hermitian")
     if abs(np.trace(m) - 1.0) > STATE_ATOL:
         raise InputError(f"density operator trace {np.trace(m):.3g} != 1")
-    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -STATE_ATOL:
-        raise InputError("density operator is not positive semidefinite")
+    h = m.conj().T
+    h += m
+    h *= 0.5
+    h[np.diag_indices_from(h)] += STATE_ATOL
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise InputError("density operator is not positive semidefinite") from None
     return m
 
 

@@ -21,6 +21,15 @@ reader decodes and converts a repeated "entries" grid once and checks
 each distinct segment that holds it once, so equal segments share one
 array and one ``Segment``.  The writer formats each distinct operator
 once and can stream the file segment by segment.
+
+A state file in the layout ``state_to_json`` writes,
+``{"dim": n, "entries": [row, ...], "dims": [...]}`` with any JSON
+whitespace, is read row by row from chunks of text (``read_state``), so
+reading holds the matrix and one chunk, never the whole text or its
+decoded tree.  Any other layout, key order or extra key, and any row
+that is not n plain cells, is read whole by ``state_from_json``, which
+raises every error with its own type and message; that route frees the
+decoded tree before the state is validated.
 """
 
 from __future__ import annotations
@@ -52,6 +61,14 @@ def _cell_hook(obj: dict):
     return obj
 
 
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _loads(text: str):
     try:
         return json.loads(text, object_hook=_cell_hook)
@@ -71,8 +88,7 @@ def _entries_text(op) -> tuple[int, str]:
     m = np.ascontiguousarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("operator must be a square matrix")
-    if not np.isfinite(m).all():
-        raise InputError("operator entries must be finite")
+    _check_finite(m)
     dim = m.shape[0]
     row = "[" + ", ".join(['{"re": %r, "im": %r}'] * dim) + "]"
     rows = [row % tuple(values) for values in m.view(float).tolist()]  # re_0, im_0, re_1, ...
@@ -103,9 +119,13 @@ def operator_from_dict(data: dict) -> np.ndarray:
                     m[i, j] = complex(float(cell["re"]), float(cell["im"]))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise InputError(f"malformed entry at ({i},{j}): {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise InputError("operator entries must be finite")
+    _check_finite(m)
     return m
+
+
+def _check_finite(m):
+    if not np.isfinite(m).all():
+        raise InputError("operator entries must be finite")
 
 
 def operator_to_json(op) -> str:
@@ -117,13 +137,11 @@ def operator_from_json(text: str) -> np.ndarray:
     return operator_from_dict(_loads_object(text))
 
 
-def state_from_dict(data: dict) -> "NetworkState":
-    from .cluster import NetworkState
-
+def _state_parts(data: dict):
+    """(rho, dims) of a decoded state object, rho through operator_from_dict."""
     if "dims" not in data:
         raise InputError('state object must carry "dims"')
-    rho = operator_from_dict(data)
-    return NetworkState.from_rho(rho, data["dims"])
+    return operator_from_dict(data), data["dims"]
 
 
 def state_to_json(state: "NetworkState") -> str:
@@ -133,7 +151,83 @@ def state_to_json(state: "NetworkState") -> str:
 
 
 def state_from_json(text: str) -> "NetworkState":
-    return state_from_dict(_loads_object(text))
+    """The state of a JSON text; its decoded tree is freed before the state is validated."""
+    from .cluster import NetworkState
+
+    return NetworkState.from_rho(*_state_parts(_loads_object(text)))
+
+
+# the layout state_to_json writes, with any JSON whitespace: the text up to
+# the first row, each row's separator, and what follows the last row
+_WS = "[ \t\n\r]*"
+_STATE_HEAD = re.compile(_WS.join(["", r"\{", '"dim"', ":", "([1-9][0-9]{0,5})", ",", '"entries"', ":",
+                                   r"\[", ""]))
+_ROW_END = re.compile(_WS + "([],]?)" + _WS)
+_STATE_TAIL = re.compile(_WS.join([",", '"dims"', ":", r"(\[[-0-9, \t\n\r]*\])", r"\}", ""]))
+
+
+def read_state(path) -> "NetworkState":
+    """The state of a JSON state file, as ``state_from_json`` reads its text.
+
+    A file in ``state_to_json``'s layout is read row by row, so reading it
+    costs the matrix and a chunk of text; any other file is read whole.
+    """
+    from .cluster import NetworkState
+
+    parts = _streamed_state(path)
+    if parts is None:  # the whole-text route decides, and names what is wrong
+        parts = _state_parts(_loads_object(_read_text(path)))
+    return NetworkState.from_rho(*parts)
+
+
+def _streamed_state(path):
+    """(rho, dims) of a state file in state_to_json's layout, read in chunks of text; else None.
+
+    A row of cells ends at its first "]".  Once that and the separator
+    after it are in the buffer, the row is decoded where it lies, with
+    the whole-text route's cell hook, and must be ``dim`` converted
+    cells; any other row is no row of this layout and ends the route with
+    nothing more read.  The buffer grows only when a row runs past its
+    end, by at least its own length, so a long row costs linear time;
+    chunks grow to eight rows.
+    """
+    from .cluster import DEFAULT_DIM_CAP
+
+    chunk = 1 << 16  # characters; grows to several rows
+    decoder = json.JSONDecoder(object_hook=_cell_hook)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            buf = fh.read(chunk)
+            head = _STATE_HEAD.match(buf)
+            dim = int(head[1]) if head else 0
+            if not 1 <= dim <= DEFAULT_DIM_CAP:  # before the dim x dim array is allocated
+                return None
+            pos = head.end()
+            rho = np.empty((dim, dim), dtype=complex)
+            for i in range(dim):
+                # read on while the row, or the separator after its first "]", may run on
+                while (close := buf.find("]", pos)) < 0 or (
+                        end := _ROW_END.match(buf, close + 1)).end() == len(buf):
+                    more = fh.read(max(chunk, len(buf) - pos))
+                    if not more:
+                        return None
+                    buf, pos = buf[pos:] + more, 0
+                row, stop = decoder.raw_decode(buf, pos)
+                if stop != close + 1 or type(row) is not list or len(row) != dim \
+                        or set(map(type, row)) != {complex} or end[1] != ("]" if i == dim - 1 else ","):
+                    return None
+                rho[i] = row
+                chunk = max(chunk, 8 * (stop - pos))
+                pos = end.end()
+            rest = buf[pos:] + fh.read(chunk)
+            tail = _STATE_TAIL.fullmatch(rest)
+            if tail is None or fh.read(1):
+                return None
+            dims = json.loads(tail[1])
+    except (ValueError, RecursionError):  # invalid JSON or UTF-8: the whole-text route says where
+        return None
+    _check_finite(rho)
+    return rho, dims
 
 
 def schedule_from_dicts(data) -> "PulseSchedule":

@@ -16,6 +16,8 @@ dense total spin, as the package did before it coupled one node at a
 time, and orthonormalizes each highest-weight space by Gram-Schmidt;
 class weights come from one dense projector per class, and the
 superselection check walks every pair of classes and copies.
+State validation takes the least eigenvalue of the hermitian part, as
+the package did before it checked positivity by one Cholesky factor.
 The operator JSON codec builds one dict per matrix entry and lets
 ``json`` format it, and reads the parsed dicts back cell by cell.
 Commuting sets are checked by dense commutators of their members, the
@@ -39,8 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from weylnet import symmetry
-from weylnet.basis import apply_per_node
+from weylnet.basis import apply_per_node, as_operator
 from weylnet.cluster import label_from_entries
+from weylnet.coherence import STATE_ATOL
 from weylnet.collective import (
     ID2,
     SIGMA_MINUS,
@@ -639,6 +642,18 @@ def permutation_operator(perm):
             dst = dst * 2 + bit
         p[dst, src] = 1.0
     return p
+
+
+def validate_state(rho):
+    """Hermiticity, unit trace and positivity to STATE_ATOL, positivity by eigvalsh."""
+    m = as_operator(rho)
+    if np.max(np.abs(m - m.conj().T)) > STATE_ATOL:
+        raise InputError("density operator is not hermitian")
+    if abs(np.trace(m) - 1.0) > STATE_ATOL:
+        raise InputError(f"density operator trace {np.trace(m):.3g} != 1")
+    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -STATE_ATOL:
+        raise InputError("density operator is not positive semidefinite")
+    return m
 
 
 def operator_to_dict(op):

@@ -1,5 +1,6 @@
-"""The operator JSON codec against the per-entry dict oracles, and the
-exit codes of every command that reads operator JSON."""
+"""The operator JSON codec against the per-entry dict oracles, the
+row-by-row state reader against the whole-text read, and the exit codes
+of every command that reads operator JSON."""
 
 import bisect
 import json
@@ -10,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weylnet import io, protocols
+from weylnet import coherence, io, protocols
 from weylnet.cli import main
 from weylnet.cluster import NetworkState
 from weylnet.errors import InputError
@@ -67,6 +69,14 @@ def gate(dim, seed):
     rng = np.random.default_rng(seed)
     phases = np.array([1, -1, 1j, -1j])[rng.integers(4, size=dim)]
     return np.eye(dim, dtype=complex)[rng.permutation(dim)] * phases
+
+
+def random_state(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    v = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = v @ v.conj().T
+    return NetworkState.from_rho(rho / np.trace(rho).real, dims)
 
 
 @st.composite
@@ -183,11 +193,7 @@ class TestDecoding:
     @PROPERTY
     @given(st.lists(st.integers(2, 3), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
     def test_state_matches_oracle_reader(self, dims, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(np.prod(dims))
-        v = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-        rho = v @ v.conj().T
-        state = NetworkState.from_rho(rho / np.trace(rho).real, dims)
+        state = random_state(dims, 2, seed)
         text = reserialize(oracles.state_to_dict(state), seed)
         again = io.state_from_json(text)
         assert again.dims == tuple(dims)
@@ -537,10 +543,7 @@ VALUES = st.sampled_from([
 
 
 def _base_files():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    rho = v @ v.conj().T
-    state = NetworkState.from_rho(rho / np.trace(rho).real, (2, 2))
+    state = random_state((2, 2), 2, 5)
     h = np.array([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])
     schedule, _ = echo_schedule(h, 0.8)
     return {
@@ -580,3 +583,217 @@ class TestReaderExitCodes:
             result = CliRunner().invoke(main, command + [path])
         assert result.exit_code in (0, 2, 3, 4), (text[:300], result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# ---------------------------------------------------------------------------
+# state files: read row by row in the written layout, whole otherwise
+# ---------------------------------------------------------------------------
+
+def state_outcome(read):
+    """("state", rho bits, dims) of a read, or (exception class, message)."""
+    try:
+        state = read()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return "state", bits(state.rho).tobytes(), state.dims
+
+
+def state_route(path):
+    """"rows" where the file is read row by row, "whole" where it is left to the
+    whole-text decode, "refused" where the rows themselves are refused."""
+    try:
+        return "whole" if io._streamed_state(path) is None else "rows"
+    except InputError:
+        return "refused"
+
+
+def assert_state_routes_agree(path):
+    """read_state gives what the whole-text read gives, bit for bit or error for error."""
+    expected = state_outcome(lambda: io.state_from_json(io._read_text(path)))
+    assert state_outcome(lambda: io.read_state(path)) == expected
+    return expected
+
+
+def write(tmp_path, text):
+    path = tmp_path / "state.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        with open(path, "w", newline="") as fh:  # "\r\n" kept as written
+            fh.write(text)
+    return str(path)
+
+
+STATE = BASE["state"]  # a 4-dim state on dims (2, 2)
+FIRST_CELL = STATE[STATE.index("[[") + 2:STATE.index("}") + 1]
+LAST_ROW = STATE.rindex(", [")
+STATE_TEXTS = {
+    # the written layout, however spaced: read by rows
+    "as written": (STATE, "rows"),
+    "indented": (json.dumps(json.loads(STATE), indent=2), "rows"),
+    "no spaces": (json.dumps(json.loads(STATE), separators=(",", ":")), "rows"),
+    "crlf and tabs": (STATE.replace(", ", ",\r\n\t").replace(": ", " :\t"), "rows"),
+    "trailing whitespace": (STATE + "\n \r\n\t", "rows"),
+    "extra key in a cell": (STATE.replace(FIRST_CELL, FIRST_CELL[:-1] + ', "x": 1}'), "rows"),
+    "int-valued cell": (STATE.replace(FIRST_CELL, '{"re": 1, "im": 0}'), "rows"),
+    "dims off the dimension": (STATE.replace('"dims": [2, 2]', '"dims": [2, 3]'), "rows"),
+    "dims over the cap": (STATE.replace('"dims": [2, 2]', '"dims": [4096, 2]'), "rows"),
+    "a negative dims entry": (STATE.replace('"dims": [2, 2]', '"dims": [-2, 2]'), "rows"),
+    "empty dims": (STATE.replace('"dims": [2, 2]', '"dims": []'), "rows"),
+    "not hermitian": (STATE.replace(FIRST_CELL, '{"re": 0.5, "im": 0.25}'), "rows"),
+    "NaN cell": (STATE.replace(FIRST_CELL, '{"re": NaN, "im": 0}'), "refused"),
+    "out-of-range float cell": (STATE.replace(FIRST_CELL, '{"re": 1e400, "im": 0}'), "refused"),
+    # any other layout, and every malformed file: read whole
+    "dims first": (json.dumps({"dims": [2, 2], **json.loads(STATE)}), "whole"),
+    "entries first": (json.dumps({k: json.loads(STATE)[k] for k in ("entries", "dim", "dims")}), "whole"),
+    "extra key": (STATE[:-1] + ', "note": 1}', "whole"),
+    "extra key first": ('{"note": 1, ' + STATE[1:], "whole"),
+    "duplicate dims": (STATE[:-1] + ', "dims": [4]}', "whole"),
+    "duplicate dim": (STATE.replace('{"dim": 4', '{"dim": 3, "dim": 4'), "whole"),
+    "escaped key": (STATE.replace('"dim"', '"d\\u0069m"'), "whole"),
+    "bool cell": (STATE.replace(FIRST_CELL, '{"re": true, "im": false}'), "whole"),
+    "string cell": (STATE.replace(FIRST_CELL, '{"re": "x", "im": 0}'), "whole"),
+    "out-of-range int cell": (STATE.replace(FIRST_CELL, '{"re": %s, "im": 0}' % ("9" * 400)), "whole"),
+    "too many digits": (STATE.replace(FIRST_CELL, '{"re": %s, "im": 0}' % ("9" * 4400)), "whole"),
+    "list cell": (STATE.replace(FIRST_CELL, "[1, 2]"), "whole"),
+    "number cell": (STATE.replace(FIRST_CELL, "0.5"), "whole"),
+    "one cell short": (STATE.replace(FIRST_CELL + ", ", "", 1), "whole"),
+    "one row short": (STATE[:LAST_ROW] + STATE[STATE.index("]]", LAST_ROW) + 1:], "whole"),
+    "one-cell row": (STATE.replace(STATE[STATE.index("[["):STATE.index("]") + 1], "[[" + FIRST_CELL + "]", 1),
+                     "whole"),
+    "rows without a comma": (STATE.replace("}], [{", "}] [{", 1), "whole"),
+    "entries left open": (STATE.replace(']], "dims"', '], , "dims"'), "whole"),
+    "a ] in an extra cell key": (STATE.replace(FIRST_CELL, FIRST_CELL[:-1] + ', "x": "], "}'), "whole"),
+    "one row more": (STATE.replace("[[", "[" + STATE[STATE.index("[["):STATE.index("]") + 1] + ", [", 1),
+                     "whole"),
+    "nested row": (STATE.replace("[[", "[[[", 1).replace("]", "]]", 1), "whole"),
+    "trailing text": (STATE + " 0", "whole"),
+    "trailing object": (STATE + "{}", "whole"),
+    "trailing text after a chunk": (STATE + " " * 200_000 + "0", "whole"),
+    "dim too large": (STATE.replace('"dim": 4', '"dim": 5000'), "whole"),
+    "dim near a million": (STATE.replace('"dim": 4', '"dim": 999999'), "whole"),
+    "dim a million": (STATE.replace('"dim": 4', '"dim": 1000000'), "whole"),
+    "dim zero": (STATE.replace('"dim": 4', '"dim": 0'), "whole"),
+    "dim negative": (STATE.replace('"dim": 4', '"dim": -4'), "whole"),
+    "dim a float": (STATE.replace('"dim": 4', '"dim": 4.0'), "whole"),
+    "dim true": (STATE.replace('"dim": 4', '"dim": true'), "whole"),
+    "dims of floats": (STATE.replace('"dims": [2, 2]', '"dims": [2.0, 2]'), "whole"),
+    "dims nested": (STATE.replace('"dims": [2, 2]', '"dims": [[2], 2]'), "whole"),
+    "dims a number": (STATE.replace('"dims": [2, 2]', '"dims": 4'), "whole"),
+    "no dims": (io.operator_to_json(np.diag([0.5, 0.5])), "whole"),
+    "byte order mark": ("﻿" + STATE, "whole"),
+    "invalid UTF-8": (STATE.encode().replace(b'"im"', b'"i\xffm"', 1), "whole"),
+    "invalid UTF-8 after the rows": (STATE.encode()[:-1] + b"\xff}", "whole"),
+    "empty": ("", "whole"),
+    "truncated in a row": (STATE[:STATE.index("]") - 3], "whole"),
+    "truncated after the rows": (STATE[:STATE.index("]]") + 2], "whole"),
+    "truncated in dims": (STATE[:-3], "whole"),
+}
+
+
+class TestStateReader:
+    @pytest.mark.parametrize("name", STATE_TEXTS)
+    def test_routes_agree(self, name, tmp_path):
+        text, route = STATE_TEXTS[name]
+        path = write(tmp_path, text)
+        assert state_route(path) == route
+        assert_state_routes_agree(path)
+
+    @PROPERTY
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3).filter(lambda d: np.prod(d) <= 48),
+           st.integers(1, 4), st.sampled_from([None, 0, 2]), st.sampled_from([(", ", ": "), (",", ":")]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_written_states_are_read_by_rows(self, dims, rank, indent, separators, seed):
+        state = random_state(dims, rank, seed)
+        with tempfile.TemporaryDirectory() as work:
+            for text in (io.state_to_json(state),
+                         json.dumps(oracles.state_to_dict(state), indent=indent, separators=separators)):
+                path = write(Path(work), text)
+                assert state_route(path) == "rows"
+                outcome = assert_state_routes_agree(path)
+                assert outcome == ("state", bits(state.rho).tobytes(), tuple(dims))
+
+    @PROPERTY
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+    def test_reserialized_states_match_whole_text_route(self, dims, seed):
+        text = reserialize(oracles.state_to_dict(random_state(dims, 2, seed)), seed)
+        with tempfile.TemporaryDirectory() as work:
+            assert_state_routes_agree(write(Path(work), text))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_mutated_states_match_whole_text_route(self, data):
+        text = STATE
+        if data.draw(st.booleans(), label="truncate"):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            root = tree(json.loads(text))
+            for _ in range(data.draw(st.integers(1, 3))):
+                where = list(paths(root))
+                path = where[data.draw(st.integers(0, len(where) - 1))]
+                root = mutate(root, path, data.draw(st.sampled_from(
+                    ["drop", "duplicate", "reorder", "retype"])), data.draw(VALUES))
+            text = dump(root)
+        with tempfile.TemporaryDirectory() as work:
+            assert_state_routes_agree(write(Path(work), text))
+
+    def test_row_longer_than_a_chunk(self, tmp_path):
+        # 3 MB of whitespace inside the first row: the buffer grows until the row ends
+        text = STATE.replace(FIRST_CELL + ", ", FIRST_CELL + "," + " " * 3_000_000, 1)
+        path = write(tmp_path, text)
+        assert state_route(path) == "rows"
+        assert assert_state_routes_agree(path)[0] == "state"
+
+
+@pytest.fixture(scope="module")
+def large_state_file(tmp_path_factory):
+    """A 448-dim rank-3 state as state_to_json writes it: about 12 MB."""
+    path = tmp_path_factory.mktemp("large") / "state.json"
+    state = random_state([448], 3, seed=11)
+    path.write_text(io.state_to_json(state))
+    return str(path), state
+
+
+class TestLargeStateFile:
+    def test_memory_is_the_matrix_and_a_chunk(self, large_state_file):
+        path, state = large_state_file
+        assert os.path.getsize(path) > 8e6
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        nbytes = state.rho.nbytes
+        # the reading holds the matrix and one chunk of text; the whole-text
+        # route holds the text and its decoded tree, over twice the matrix here
+        assert peak(lambda: io._streamed_state(path)) < nbytes + 2e6
+        # validation's own matrix-sized temporaries come after the text is gone
+        validation = peak(lambda: coherence.validate_state(state.rho))
+        assert peak(lambda: io.read_state(path)) < nbytes + validation + 2e6
+        assert peak(lambda: io.state_from_json(io._read_text(path))) > os.path.getsize(path) + nbytes
+        assert assert_state_routes_agree(path) == ("state", bits(state.rho).tobytes(), (448,))
+
+    def test_bad_first_row_ends_the_rows_at_once(self, large_state_file, monkeypatch):
+        path, _ = large_state_file
+        with open(path) as fh:
+            text = fh.read()
+        bad = path + ".bad"
+        with open(bad, "w") as fh:
+            fh.write(text.replace('{"re": ', '{"re": "x", "y": ', 1))
+        read = []
+
+        def counted_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            real = fh.read
+            fh.read = lambda *n: read.append(len(chunk := real(*n))) or chunk
+            return fh
+
+        monkeypatch.setattr(io, "open", counted_open, raising=False)
+        assert io._streamed_state(bad) is None
+        assert sum(read) < len(text) / 50  # the first chunk only
+        monkeypatch.undo()
+        assert assert_state_routes_agree(bad)[0] is InputError

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from weylnet import coherence
 from weylnet.basis import WeylIndex, weyl_matrix
 from weylnet.errors import CapExceeded, InputError
@@ -83,6 +84,38 @@ class TestExpansion:
         cv = coherence.expand_state(np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))
         with pytest.raises(InputError):
             cv.entry(a, b)
+
+
+def state_with_least_eigenvalue(dim, rank, least, seed):
+    """A hermitian unit-trace matrix: ``rank`` positive eigenvalues (``dim - 1``
+    when ``rank == dim``) and one eigenvalue ``least``, in random directions."""
+    rng = np.random.default_rng(seed)
+    k = min(rank + 1, dim)
+    v, _ = np.linalg.qr(rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)))
+    positive = rng.uniform(0.5, 1.5, size=k - 1)
+    w = np.append(positive * (1 - least) / positive.sum(), least)
+    rho = (v * w) @ v.conj().T
+    return (rho + rho.conj().T) / 2  # exactly hermitian
+
+
+class TestPositivity:
+    @pytest.mark.parametrize("dim", [8, 64, 729])
+    @pytest.mark.parametrize("rank", [1, 3, "dim"])
+    @pytest.mark.parametrize("least, accepted", [(-0.99e-10, True), (-1.01e-10, False)])
+    def test_boundary_matches_eigenvalue_oracle(self, dim, rank, least, accepted):
+        rho = state_with_least_eigenvalue(dim, dim if rank == "dim" else rank, least, seed=dim)
+        for validate in (coherence.validate_state, oracles.validate_state):
+            if accepted:
+                assert validate(rho) is rho
+            else:
+                with pytest.raises(InputError, match="not positive semidefinite"):
+                    validate(rho)
+
+    def test_input_is_left_as_it_was(self):
+        rho = random_density(5, np.random.default_rng(3))
+        before = rho.copy()
+        assert coherence.validate_state(rho) is rho
+        assert np.array_equal(rho, before)
 
 
 class TestRotationMatrix:

@@ -1,8 +1,11 @@
 """Commuting cluster-operator sets: criterion, constructions, search, eigenstates."""
 
+import csv
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -139,6 +142,22 @@ class TestSearch:
             result = commuting.search_max_commuting(n, n_nodes, budget=10)
             floor = max(commuting.method_a_size(n, n_nodes), commuting.method_b_size(n, n_nodes))
             assert result.commuting_set.size >= floor
+
+    @pytest.mark.parametrize("n,n_nodes", [(2, 4), (2, 5), (3, 3), (4, 2)])
+    def test_search_alone_reaches_the_table(self, n, n_nodes, monkeypatch):
+        # every seed cut to one vertex, so only the clique search can reach C
+        with open(Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "table-csum.csv") as fh:
+            row = next(r for r in csv.DictReader(fh) if (int(r["n"]), int(r["N"])) == (n, n_nodes))
+        for name in ("construct_method_a", "construct_method_b"):
+            build = getattr(commuting, name)
+            monkeypatch.setattr(commuting, name, lambda n, n_nodes, build=build: SimpleNamespace(
+                members=build(n, n_nodes).members[:1]))
+        seed = commuting.cat_seed_clique
+        monkeypatch.setattr(commuting, "cat_seed_clique", lambda rows, n: seed(rows, n)[:1])
+        result = commuting.search_max_commuting(n, n_nodes)
+        assert row["C_tag"] == "exact" and result.exact
+        assert result.commuting_set.size == int(row["C"]) > 1
+        assert result.commuting_set.verify_pairwise() and oracles.commutes_pairwise(result.commuting_set.members)
 
     def test_budget_exhaustion_tags_heuristic(self):
         result = commuting.search_max_commuting(3, 3, budget=3)
