@@ -21,8 +21,8 @@ import click
 import numpy as np
 
 from .errors import CapExceeded, InputError, VerificationFailure, WeylnetError
-from .io import (_read_text, _schedule_pieces, csv_lines, operator_from_json, read_state,
-                 schedule_from_json, trajectory_csv)
+from .io import (csv_lines, read_operator, read_schedule, read_state, read_text, schedule_pieces,
+                 trajectory_csv)
 
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
@@ -59,7 +59,7 @@ def _read_config(path):
     opts = {}
     if path is None:
         return opts
-    for line in _read_text(path).split("\n"):
+    for line in read_text(path).split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -143,7 +143,7 @@ def cmd_basis(n):
         for b in range(n):
             idx = basis.WeylIndex(a, b, n)
             m = basis.weyl_matrix(idx)
-            if np.max(np.abs(m.conj().T @ m - np.eye(n))) > 1e-12:
+            if not np.max(np.abs(m.conj().T @ m - np.eye(n))) <= 1e-12:
                 raise VerificationFailure(f"U_{a}{b} failed its unitarity self-check")
             click.echo(f"U_{a}{b} =")
             for r in range(n):
@@ -220,7 +220,7 @@ def cmd_cat(n, n_nodes, verify, output):
         report = cat.cat_verify(n, n_nodes)
         worst = max(report.max_cluster_sum_error, report.max_purity_error,
                     report.max_orthonormality_error)
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise VerificationFailure(f"cat profile mismatch: {worst:.3g}")
 
 
@@ -271,13 +271,13 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
     from . import protocols
 
     if schedule_path is not None:
-        schedule = schedule_from_json(_read_text(schedule_path))
+        schedule = read_schedule(schedule_path)
         residual = protocols.phase_distance(schedule.unitary())
         rows = [(schedule.dim, schedule.total_time, len(schedule.segments), residual)]
         _emit(csv_lines("dim,total_time,segments,identity_residual", rows), output)
     else:
         if h_path is not None:
-            h = operator_from_json(_read_text(h_path))
+            h = read_operator(h_path)
         elif n is not None:
             from .cluster import DEFAULT_DIM_CAP
             if n < 2:  # before numpy sees an empty or negative size
@@ -292,10 +292,10 @@ def cmd_echo(ctx, n, dt, cycles, h_path, schedule_path, schedule_out, trajectory
         rows = [(report.n, report.dt, report.cycles, report.residual,
                  report.stroboscopic_residual, report.pulse_count)]
         _emit(csv_lines("n,dt,cycles,residual,stroboscopic_residual,pi_pulses", rows), output)
-        if report.residual > 1e-10:
+        if not report.residual <= 1e-10:
             raise VerificationFailure(f"echo residual {report.residual:.3g} exceeds 1e-10")
     if schedule_out is not None:  # one segment at a time; each operator's text is formatted once
-        _emit(itertools.chain(_schedule_pieces(schedule), "\n"), schedule_out)
+        _emit(itertools.chain(schedule_pieces(schedule), "\n"), schedule_out)
     if trajectory_out is not None:
         if not 0 <= initial_basis < schedule.dim:
             raise InputError(f"initial basis index {initial_basis} out of range")
@@ -344,7 +344,7 @@ def cmd_control(n_nodes, m, alpha_t, trajectory_out, initial_basis, steps, outpu
     fidelity = protocols.cat_creation_fidelity(n_nodes) if n_nodes % 2 == 0 else float("nan")
     rows = [(n_nodes, mm, area, ident_residual, fidelity)]
     _emit(csv_lines("nodes,m,alpha_t,identity_residual,cat_fidelity", rows), output)
-    if n_nodes % 2 == 0 and mm == 2 and abs(area - math.pi / 4) < 1e-12 and 1 - fidelity > 1e-10:
+    if n_nodes % 2 == 0 and mm == 2 and abs(area - math.pi / 4) < 1e-12 and not 1 - fidelity <= 1e-10:
         raise VerificationFailure(f"cat creation fidelity {fidelity} below 1 - 1e-10")
 
 
@@ -454,7 +454,7 @@ def cmd_collective_decompose(state_file, output):
     state = read_state(state_file)
     coeffs = collective.decompose_collective(state)
     recon = collective.reconstruct_collective(coeffs, state.n_nodes)
-    if np.max(np.abs(recon - state.rho)) > 1e-12:
+    if not np.max(np.abs(recon - state.rho)) <= 1e-12:
         raise VerificationFailure("collective reconstruction failed")
     rows = [(lab.alpha, lab.beta, lab.gamma, lab.b, v.real, v.imag)
             for lab, v in coeffs.items()]

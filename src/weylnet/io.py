@@ -1,10 +1,11 @@
-"""JSON schemas for operators and network states, plus CSV helpers.
+"""JSON schemas for operators, network states and pulse schedules, plus CSV helpers.
 
 Operator schema: {"dim": n, "entries": [[{"re": x, "im": y}, ...], ...]}
-with row-major entries.  A network-state file adds "dims": [n_1, ..., n_N].
-Floats serialize through Python's shortest round-trip repr, so the
-round trip is bit-exact.  Entries must be finite both ways: the writers
-refuse NaN and infinities, as the readers do.
+with row-major entries.  A network-state file adds "dims": [n_1, ..., n_N];
+a schedule file is a list of {"kind", "operator", "dt"} segments.  Floats
+serialize through Python's shortest round-trip repr, so the round trip
+is bit-exact.  Entries must be finite both ways: the writers refuse NaN
+and infinities, as the readers do.
 
 The codec keeps no Python object per matrix entry beyond parsing or
 formatting it.  The reader turns each {"re", "im"} cell of two real
@@ -13,23 +14,22 @@ int-valued parts, extra keys ignored), so a well-formed grid becomes an
 array in one call; any other cell goes through the per-cell
 conversion, which names what is wrong with it.  The writers format
 each row with one ``%`` operation over its interleaved real and
-imaginary parts, byte-identical to ``json.dumps`` of the cell dicts.
+imaginary parts, byte-identical to ``json.dumps`` of the cell dicts; a
+schedule's writer formats each distinct operator once and can stream
+the file segment by segment.
 
-Schedule files carry every segment's operator in full, yet decoding,
-converting and checking one costs what its distinct operators cost: the
-reader decodes and converts a repeated "entries" grid once and checks
-each distinct segment that holds it once, so equal segments share one
-array and one ``Segment``.  The writer formats each distinct operator
-once and can stream the file segment by segment.
-
-A state file in the layout ``state_to_json`` writes,
-``{"dim": n, "entries": [row, ...], "dims": [...]}`` with any JSON
-whitespace, is read row by row from chunks of text (``read_state``), so
-reading holds the matrix and one chunk, never the whole text or its
-decoded tree.  Any other layout, key order or extra key, and any row
-that is not n plain cells, is read whole by ``state_from_json``, which
-raises every error with its own type and message; that route frees the
-decoded tree before the state is validated.
+The path readers ``read_state``, ``read_operator`` and ``read_schedule``
+read a file in the layout its writer emits, with any JSON whitespace,
+from chunks of text, and decode each grid row by row with the same cell
+hook, so reading holds the arrays and a chunk, never the whole text or
+its decoded tree.  A schedule's grids are keyed by their text, so it
+also holds the text of each distinct grid: each distinct grid is decoded
+and converted once and each distinct segment checked once, and equal
+segments share one array and one ``Segment``.
+Any other file (another key order, an extra or repeated key, a row that
+is not n plain cells, invalid JSON) is read whole by
+``state_from_json``, ``operator_from_json`` or ``schedule_from_json``,
+which raise every error with its own type and message.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import os
 import re
 
 import numpy as np
@@ -61,7 +62,8 @@ def _cell_hook(obj: dict):
     return obj
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
+    """The whole text of a UTF-8 file; InputError names the first byte that is not."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
@@ -157,100 +159,19 @@ def state_from_json(text: str) -> "NetworkState":
     return NetworkState.from_rho(*_state_parts(_loads_object(text)))
 
 
-# the layout state_to_json writes, with any JSON whitespace: the text up to
-# the first row, each row's separator, and what follows the last row
-_WS = "[ \t\n\r]*"
-_STATE_HEAD = re.compile(_WS.join(["", r"\{", '"dim"', ":", "([1-9][0-9]{0,5})", ",", '"entries"', ":",
-                                   r"\[", ""]))
-_ROW_END = re.compile(_WS + "([],]?)" + _WS)
-_STATE_TAIL = re.compile(_WS.join([",", '"dims"', ":", r"(\[[-0-9, \t\n\r]*\])", r"\}", ""]))
-
-
-def read_state(path) -> "NetworkState":
-    """The state of a JSON state file, as ``state_from_json`` reads its text.
-
-    A file in ``state_to_json``'s layout is read row by row, so reading it
-    costs the matrix and a chunk of text; any other file is read whole.
-    """
-    from .cluster import NetworkState
-
-    parts = _streamed_state(path)
-    if parts is None:  # the whole-text route decides, and names what is wrong
-        parts = _state_parts(_loads_object(_read_text(path)))
-    return NetworkState.from_rho(*parts)
-
-
-def _streamed_state(path):
-    """(rho, dims) of a state file in state_to_json's layout, read in chunks of text; else None.
-
-    A row of cells ends at its first "]".  Once that and the separator
-    after it are in the buffer, the row is decoded where it lies, with
-    the whole-text route's cell hook, and must be ``dim`` converted
-    cells; any other row is no row of this layout and ends the route with
-    nothing more read.  The buffer grows only when a row runs past its
-    end, by at least its own length, so a long row costs linear time;
-    chunks grow to eight rows.
-    """
-    from .cluster import DEFAULT_DIM_CAP
-
-    chunk = 1 << 16  # characters; grows to several rows
-    decoder = json.JSONDecoder(object_hook=_cell_hook)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            buf = fh.read(chunk)
-            head = _STATE_HEAD.match(buf)
-            dim = int(head[1]) if head else 0
-            if not 1 <= dim <= DEFAULT_DIM_CAP:  # before the dim x dim array is allocated
-                return None
-            pos = head.end()
-            rho = np.empty((dim, dim), dtype=complex)
-            for i in range(dim):
-                # read on while the row, or the separator after its first "]", may run on
-                while (close := buf.find("]", pos)) < 0 or (
-                        end := _ROW_END.match(buf, close + 1)).end() == len(buf):
-                    more = fh.read(max(chunk, len(buf) - pos))
-                    if not more:
-                        return None
-                    buf, pos = buf[pos:] + more, 0
-                row, stop = decoder.raw_decode(buf, pos)
-                if stop != close + 1 or type(row) is not list or len(row) != dim \
-                        or set(map(type, row)) != {complex} or end[1] != ("]" if i == dim - 1 else ","):
-                    return None
-                rho[i] = row
-                chunk = max(chunk, 8 * (stop - pos))
-                pos = end.end()
-            rest = buf[pos:] + fh.read(chunk)
-            tail = _STATE_TAIL.fullmatch(rest)
-            if tail is None or fh.read(1):
-                return None
-            dims = json.loads(tail[1])
-    except (ValueError, RecursionError):  # invalid JSON or UTF-8: the whole-text route says where
-        return None
-    _check_finite(rho)
-    return rho, dims
-
-
 def schedule_from_dicts(data) -> "PulseSchedule":
-    return _schedule_from_dicts(data, ())
+    return _schedule(_segment_parts(data))
 
 
-def _schedule_from_dicts(data, repeated) -> "PulseSchedule":
-    """The schedule of decoded segments.  Each "entries" grid in ``repeated``
-    (an object that several segments hold) is converted once, and each
-    distinct segment that holds one is checked once and shared."""
-    from .protocols import PulseSchedule, Segment
-
+def _segment_parts(data):
+    """(kind, operator, dt) of each decoded segment, converted in turn; equal operators are one array."""
     if not isinstance(data, list):
         raise InputError("schedule JSON must be a list of segments")
-    repeated = {id(grid) for grid in repeated}
-    converted = {}  # (id of a repeated grid, dim) -> its array
-    shared = {}  # equal operators become one array, as in the schedule that was written
-    made = {}  # (kind, array of a repeated grid, dt) -> its Segment
-    segments = []
+    shared = {}
     for k, entry in enumerate(data):
         try:
             kind = entry["kind"]
-            op, key = _operator_once(entry["operator"], repeated, converted, shared)
+            op = operator_from_dict(entry["operator"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed segment {k}: {exc}") from exc
         # the kinds are the constants, not the file's copy of the word in each segment
@@ -263,35 +184,26 @@ def _schedule_from_dicts(data, repeated) -> "PulseSchedule":
             kind, dt = "gate", 0.0
         else:
             raise InputError(f"segment {k} has unknown kind {kind!r}")
-        if key is None:
-            segment = Segment(kind, op, dt)
-        else:
-            key = (kind, id(op), dt.hex())  # hex keeps -0.0 apart
-            segment = made.get(key)
-            if segment is None:
-                segment = made[key] = Segment(kind, op, dt)
+        yield kind, shared.setdefault(op.tobytes(), op), dt
+
+
+def _schedule(parts) -> "PulseSchedule":
+    """The schedule of (kind, finite operator, dt) parts; each distinct part is
+    checked once, so equal segments share one ``Segment``."""
+    from .protocols import PulseSchedule, Segment
+
+    made = {}
+    segments = []
+    for kind, op, dt in parts:
+        key = (kind, id(op), dt.hex())  # hex keeps -0.0 apart
+        segment = made.get(key)
+        if segment is None:
+            segment = made[key] = Segment(kind, op, dt)
         segments.append(segment)
     return PulseSchedule(segments)
 
 
-def _operator_once(spec, repeated: set, converted: dict, shared: dict):
-    """(operator_from_dict(spec), its memo key): a grid whose id is in
-    ``repeated`` converts once per int dim; any other key is None."""
-    try:
-        dim, rows = spec["dim"], spec["entries"]
-        key = (id(rows), dim) if id(rows) in repeated and type(dim) is int else None
-    except (KeyError, TypeError):
-        key = None
-    op = converted.get(key)
-    if op is None:
-        op = operator_from_dict(spec)
-        op = shared.setdefault(op.tobytes(), op)
-        if key is not None:
-            converted[key] = op
-    return op, key
-
-
-def _schedule_pieces(schedule):
+def schedule_pieces(schedule):
     """The schedule's JSON text in pieces; each distinct operator object is
     formatted once, and its text is yielded for every segment that holds it."""
     texts = {}
@@ -309,109 +221,187 @@ def _schedule_pieces(schedule):
 
 def schedule_to_json(schedule) -> str:
     """Segment list as JSON; each distinct operator object is formatted once."""
-    return "".join(_schedule_pieces(schedule))
-
-
-# an "entries" key and the whitespace around its colon, as JSON allows it
-_ENTRIES_KEY = re.compile(r'"entries"[ \t\n\r]*:[ \t\n\r]*')
-
-
-def _grid_cell(obj: dict) -> complex:
-    """The complex of a cell with real "re" and "im" and no other key; else ValueError."""
-    value = _cell_hook(obj) if len(obj) == 2 else obj
-    if type(value) is not complex:
-        raise ValueError("not a cell of two real parts")
-    return value
-
-
-def _repeated_grid_texts(text: str) -> dict:
-    """(first start, length) -> later starts of each "entries" grid text that repeats.
-
-    A key's grid text is taken up to the first "]]" after it, and the scan
-    resumes there, so each character is scanned once; a key passed over
-    lies inside another value.  Equal texts are grouped by length and hash
-    and compared in full.
-    """
-    first = {}  # (length, hash) of a grid text -> where it first starts
-    later = {}
-    pos = 0
-    while (match := _ENTRIES_KEY.search(text, pos)) is not None:
-        start = match.end()
-        close = text.find("]]", start) + 2
-        if close < 2:
-            break
-        piece = text[start:close]
-        at = first.setdefault((close - start, hash(piece)), start)
-        if at != start and text.startswith(piece, at):  # else a hash collision
-            later.setdefault((at, close - start), []).append(start)
-        pos = close
-    return later
-
-
-def _grids_decoded_once(text: str):
-    """(segments, repeated grids) of a text without backslashes; each repeated grid decoded once.
-
-    The first text of each repeated grid is decoded on its own, and if
-    that proves it one complete grid of plain cells (a list of lists of
-    {"re", "im"} objects with real values and no other key, so nothing in
-    it nests deeper than in any schedule), every text of the group is
-    replaced by a marker: a string with an escaped NUL, which no string
-    of a text without backslashes can hold.  The rest, one-off grids
-    included, is decoded in place, and the markers are swapped for their
-    grid.
-
-    Every marker must end up as the "entries" of a segment's operator,
-    three levels deep as in every schedule, so the route accepts what the
-    whole-text decode accepts, with the same values.  Otherwise, as on
-    invalid JSON, it raises ValueError (or RecursionError), and the caller
-    decodes the text whole.
-    """
-    decoder = json.JSONDecoder(object_hook=_grid_cell)
-    grids, spans = [], []
-    for (at, size), starts in _repeated_grid_texts(text).items():
-        try:
-            value, stop = decoder.raw_decode(text, at)
-        except (ValueError, RecursionError):  # not a grid of plain cells: decoded in place
-            continue
-        if stop - at == size and type(value) is list and set(map(type, value)) <= {list} \
-                and set(map(type, itertools.chain.from_iterable(value))) <= {complex}:
-            spans += [(start, start + size, len(grids)) for start in [at, *starts]]
-            grids.append(value)
-    if not spans:
-        return json.loads(text, object_hook=_cell_hook), grids
-    parts, pos = [], 0
-    for start, stop, i in sorted(spans):
-        parts += (text[pos:start], '"\\u0000%d"' % i)
-        pos = stop
-    parts.append(text[pos:])
-    data = json.loads("".join(parts), object_hook=_cell_hook)
-    placed = 0
-    for entry in data if isinstance(data, list) else ():
-        spec = entry.get("operator") if isinstance(entry, dict) else None
-        marker = spec.get("entries") if isinstance(spec, dict) else None
-        if type(marker) is str and marker[:1] == "\0":
-            spec["entries"] = grids[int(marker[1:])]
-            placed += 1
-    if placed != len(spans):  # a marker outside an operator, where its grid nests deeper, or repeated
-        raise ValueError("a repeated grid outside the segments' operators")
-    return data, grids
+    return "".join(schedule_pieces(schedule))
 
 
 def schedule_from_json(text: str) -> "PulseSchedule":
-    """Schedule from segment-list JSON; decode and checks follow the distinct operators.
-
-    A text with a backslash (an escaped key may spell "entries"), or one
-    that the grid route does not take, is decoded whole, so errors name
-    the text's own position.
-    """
-    if "\\" not in text:
-        try:
-            data, repeated = _grids_decoded_once(text)
-        except (ValueError, RecursionError):  # the whole-text decode decides and says where
-            pass
-        else:
-            return _schedule_from_dicts(data, repeated)
+    """Schedule from segment-list JSON; equal segments share one array and one ``Segment``."""
     return schedule_from_dicts(_loads(text))
+
+
+# ---------------------------------------------------------------------------
+# path readers: the writers' layouts in chunks of text, anything else whole
+# ---------------------------------------------------------------------------
+
+_WS = "[ \t\n\r]*"
+
+
+def _layout(*tokens) -> re.Pattern:
+    """The tokens in turn, with any JSON whitespace around each."""
+    return re.compile(_WS.join(["", *tokens, ""]))
+
+
+# up to the first row of a grid, whose "[" the head takes
+_OPERATOR_HEAD = (r"\{", '"dim"', ":", "([1-9][0-9]{0,5})", ",", '"entries"', ":", r"\[")
+_HEAD = _layout(*_OPERATOR_HEAD)
+_OPEN, _CLOSE, _BLANK = _layout(r"\["), _layout(r"\]"), _layout()
+_ROW_END = _layout("([],]?)")
+_TAIL = _layout("(?:,", '"dims"', ":", r"(\[[-0-9, \t\n\r]*\])", r")?\}")  # a state's "dims", if any
+_SEGMENT_HEAD = _layout(r"\{", '"kind"', ":", '"(hamiltonian|gate)"', ",", '"operator"', ":", *_OPERATOR_HEAD)
+_GATE_TAIL = _layout(r"\}", r"\}", "([],])")
+# a float token, with a fraction or an exponent, as %r writes a dt
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_HAMILTONIAN_TAIL = _layout(r"\}", ",", '"dt"', ":", _FLOAT, r"\}", "([],])")
+_CHUNK = 1 << 16  # characters read at a time; grows to eight rows
+_AHEAD = 1 << 10  # characters held past the read position before a pattern is matched
+
+
+class _Chunks:
+    """A text file read in chunks, held from the read position on.
+
+    ``take`` matches a pattern at the read position; ``rows`` finds where a
+    grid ends, and ``grid`` decodes it row by row.  A row of cells ends
+    at its first "]".  Once that and the separator after it are in the
+    buffer, the row is decoded where it lies, with the whole-text route's
+    cell hook, and must be ``dim`` converted cells; any other row is no
+    row of a writer's layout.  The buffer grows only when a row or a
+    pattern runs past its end, by at least its own length, so a long row
+    costs linear time.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos, self.chunk = fh, "", 0, _CHUNK
+        self.size = os.fstat(fh.fileno()).st_size
+        self.decoder = json.JSONDecoder(object_hook=_cell_hook)
+
+    def more(self) -> bool:
+        """Read on, dropping the text before the read position; False at the end of the file."""
+        more = self.fh.read(max(self.chunk, len(self.buf) - self.pos))
+        self.buf, self.pos = self.buf[self.pos:] + more, 0
+        return bool(more)
+
+    def take(self, pattern):
+        """The match of ``pattern`` at the read position, which moves past it; else None."""
+        while len(self.buf) - self.pos < _AHEAD and self.more():
+            pass
+        match = pattern.match(self.buf, self.pos)
+        if match:
+            self.pos = match.end()
+        return match
+
+    def rows(self, dim: int, m=None):
+        """Where the grid whose "[" was taken last ends, after its ``dim`` rows, which
+        are in the buffer then; else None.  With ``m``, row i is decoded into m[i]
+        and the read position follows the rows."""
+        buf, pos = self.buf, self.pos
+        for i in range(dim):
+            # read on while the row, or the separator after its first "]", may run on
+            while (close := buf.find("]", pos)) < 0 or (end := _ROW_END.match(buf, close + 1)).end() == len(buf):
+                pos -= self.pos
+                if not self.more():
+                    return None
+                buf = self.buf
+            if end[1] != ("]" if i == dim - 1 else ","):
+                return None
+            if m is not None:
+                row, stop = self.decoder.raw_decode(buf, pos)
+                # one "{" per cell: no object nests in a cell, so a row nests no deeper than in the whole text
+                if stop != close + 1 or len(row) != dim or set(map(type, row)) != {complex} \
+                        or buf.count("{", pos, stop) != dim:
+                    return None
+                m[i] = row
+                self.chunk = max(self.chunk, 8 * (stop - pos))
+                self.pos = pos = end.end()
+            else:
+                pos = end.end()
+        self.chunk = max(self.chunk, pos - self.pos)  # a walked grid: the next one in one read
+        return pos
+
+    def grid(self, dim: int):
+        """The dim x dim array of the grid whose "[" was taken last, not yet checked finite; else None."""
+        if 15 * dim * dim > self.size:  # a cell takes 15 characters or more: the array never outgrows the file
+            return None
+        m = np.empty((dim, dim), dtype=complex)
+        return None if self.rows(dim, m) is None else m
+
+
+def _streamed(path, layout):
+    """layout(chunks) of the file at ``path``, which must end there; None where the
+    file leaves the layout, is not valid JSON or not UTF-8 (the whole-text route says where)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = _Chunks(fh)
+            value = layout(text)
+            if value is None or text.take(_BLANK).end() != len(text.buf) or fh.read(1):
+                return None
+    except (ValueError, RecursionError):
+        return None
+    return value
+
+
+def _matrix_layout(text):
+    """(matrix, dims or None) of a file in ``state_to_json``'s or ``operator_to_json``'s layout; else None."""
+    head = text.take(_HEAD)
+    m = head and text.grid(int(head[1]))
+    tail = m is not None and np.isfinite(m).all() and text.take(_TAIL)  # the whole-text route refuses NaN
+    return (m, tail[1] and json.loads(tail[1])) if tail else None
+
+
+def _schedule_layout(text):
+    """(kind, operator, dt) of each segment of a file in ``schedule_to_json``'s layout; else None.
+
+    A grid is keyed by its dim and its text, so each distinct grid text is
+    decoded once and is one array; the dict hashes and compares the texts.
+    """
+    if not text.take(_OPEN):
+        return None
+    parts, grids = [], {}
+    sep = "]" if text.take(_CLOSE) else ","
+    while sep == ",":
+        head = text.take(_SEGMENT_HEAD)
+        dim = head and int(head[2])
+        end = head and text.rows(dim)
+        if not end:
+            return None
+        key = (dim, text.buf[text.pos:end])
+        op = grids.get(key)
+        if op is None:
+            op = grids[key] = text.grid(dim)
+            if op is None:
+                return None
+        else:
+            text.pos = end
+        gate = head[1] == "gate"
+        tail = text.take(_GATE_TAIL if gate else _HAMILTONIAN_TAIL)
+        if not tail:
+            return None
+        parts.append(("gate", op, 0.0) if gate else ("hamiltonian", op, float(tail[1])))
+        sep = tail[tail.lastindex]
+    # the whole-text route refuses a non-finite grid; one check covers them all
+    arrays = [op.ravel() for op in grids.values()]
+    return parts if not arrays or np.isfinite(np.concatenate(arrays)).all() else None
+
+
+def read_state(path) -> "NetworkState":
+    """The state of a JSON state file, as ``state_from_json`` reads its text."""
+    from .cluster import NetworkState
+
+    parts = _streamed(path, _matrix_layout)
+    if parts is None or parts[1] is None:  # the whole-text route decides, and names what is wrong
+        parts = _state_parts(_loads_object(read_text(path)))
+    return NetworkState.from_rho(*parts)
+
+
+def read_operator(path) -> np.ndarray:
+    """The matrix of a JSON operator file, as ``operator_from_json`` reads its text."""
+    parts = _streamed(path, _matrix_layout)
+    return operator_from_json(read_text(path)) if parts is None or parts[1] is not None else parts[0]
+
+
+def read_schedule(path) -> "PulseSchedule":
+    """The schedule of a JSON schedule file, as ``schedule_from_json`` reads its text."""
+    parts = _streamed(path, _schedule_layout)
+    return schedule_from_json(read_text(path)) if parts is None else _schedule(parts)
 
 
 def trajectory_csv(times, states) -> str:

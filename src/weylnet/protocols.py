@@ -27,7 +27,12 @@ def hermitian_expm(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) through the spectral decomposition (h hermitian); for a
     1-D array of times, the stack of exponentials from one ``eigh``."""
     vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * vals * np.expand_dims(t, -1))
+    # |h| t in Python floats, which overflow to inf without numpy's warning; the
+    # eigenvalues come sorted, so the extremes bound them
+    reach = abs(t) if type(t) is float else float(np.max(np.abs(t)))
+    if not math.isfinite(max(-vals.item(0), vals.item(-1)) * reach):
+        raise InputError("exp(-i H t) is not finite: |H| t overflows")
+    phases = np.exp(-1j * vals * np.asarray(t)[..., None])
     return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
@@ -225,6 +230,8 @@ def echo_schedule(h, dt: float, cycles: int = 1) -> tuple[PulseSchedule, EchoRep
     if abs(tr) > 1e-10 * max(1.0, float(np.max(np.abs(energies)))):
         raise InputError(
             f"echo requires a traceless Hamiltonian; shift by {-tr / n:.6g} * identity first")
+    if not math.isfinite(float(np.max(np.abs(energies))) * abs(float(dt)) * n * cycles):  # Python floats: no warning
+        raise InputError(f"echo phases are not finite: |H| dt over {n * cycles} steps overflows")
     pair = [Segment("hamiltonian", h, dt / n), Segment("gate", gate, 0.0)]
     perm, columns = np.argmax(np.abs(gate_frame), axis=0), np.arange(n)
     log_factors = np.log(gate_frame[perm, columns]) - 1j * energies * (dt / n)

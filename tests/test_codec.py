@@ -289,9 +289,13 @@ EDGE_TEXTS = {
     "truncated in the last grid": TEXT[:TEXT.rindex("]]") - 3],
 }
 
-# valid texts that the grid route leaves to the whole-text decode: a repeated
-# grid's marker that a repeated key drops, or that sits outside an operator
-DEFERRED = {"repeated key, last", "repeated key in every operator", "entries key before each operator"}
+# valid texts that the chunked reader leaves to the whole-text decode: every
+# layout but the writer's, however spaced
+DEFERRED = {"escaped key", "escaped repeated key, first", "escaped repeated key, last", "repeated key, first",
+            "repeated key, last", "repeated key in every operator", "]] in an extra cell key",
+            "]] in one extra cell key", "extra operator key holding a grid", "entries key before each operator",
+            "entries key nested in a cell", "entries key nested in one cell", "the string value entries",
+            "a grid that ends before the first ]]"}
 
 
 def grid_text(text, k=0):
@@ -302,38 +306,66 @@ def grid_text(text, k=0):
     return text[start:text.index("]]", start) + 2]
 
 
+def read_outcome(read):
+    """The value of a read, or (exception class, message)."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def schedule_outcome(read):
+    """[(kind, operator bits, dt as hex)] of a read schedule, or (exception class, message)."""
+    return read_outcome(lambda: [(seg.kind, bits(seg.operator).tobytes(), float(seg.duration).hex())
+                                 for seg in read().segments])
+
+
+def schedule_file(tmp_path, text):
+    path = tmp_path / "schedule.json"
+    path.write_text(text)
+    return path
+
+
+def peak(call):
+    """The tracemalloc peak of a call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScheduleReader:
     @pytest.mark.parametrize("name", EDGE_TEXTS)
     def test_edge_case_matches_oracle_reader(self, name, tmp_path):
         text = EDGE_TEXTS[name]
-        path = tmp_path / "schedule.json"
-        path.write_text(text)
+        path = schedule_file(tmp_path, text)
         exit_code = CliRunner().invoke(main, ["echo", "--schedule", str(path)]).exit_code
+        parts = io._streamed(path, io._schedule_layout)  # the chunked route itself
         try:
             expected = oracles.schedule_operators_from_json(text)
         except ValueError:  # invalid JSON or a bad operator: the package's InputError
-            with pytest.raises(InputError):
-                io.schedule_from_json(text)
-            assert exit_code == 2
+            error = read_outcome(lambda: io.schedule_from_json(text))
+            assert error[0] is InputError
+            assert read_outcome(lambda: io.read_schedule(path)) == error
+            assert exit_code == 2 and parts is None
             return
         assert exit_code == 0
         assert_schedule_matches(io.schedule_from_json(text), expected)
-        if "\\" not in text:  # the grid route itself: the oracle's segments, or it defers
-            try:
-                data, repeated = io._grids_decoded_once(text)
-            except ValueError:
-                assert name in DEFERRED
-            else:
-                assert name not in DEFERRED
-                assert_schedule_matches(io._schedule_from_dicts(data, repeated), expected)
+        assert_schedule_matches(io.read_schedule(path), expected)
+        # the chunked route gives the oracle's segments, or it defers
+        assert (parts is None) == (name in DEFERRED)
+        if parts is not None:
+            assert_schedule_matches(io._schedule(parts), expected)
 
     def test_equal_grids_spelled_differently_share_one_array(self):
         segments = io.schedule_from_json(EDGE_TEXTS["equal grids spelled differently"]).segments
         assert len({id(seg.operator) for seg in segments}) == 2
 
-    def test_cost_follows_the_distinct_operators(self, monkeypatch):
+    def test_cost_follows_the_distinct_operators(self, monkeypatch, tmp_path):
         schedule, _ = echo_schedule(traceless_hamiltonian(8, 23), 0.9, cycles=4)
-        text = io.schedule_to_json(schedule)
+        path = schedule_file(tmp_path, io.schedule_to_json(schedule))
         unitary = schedule.unitary()
         calls = Counter()
 
@@ -346,25 +378,25 @@ class TestScheduleReader:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in [(io, "_grid_cell"), (io, "_cell_hook"), (io, "operator_from_dict"),
-                            (Segment, "__post_init__"), (protocols, "hermitian_expm")]:
+        for owner, name in [(io, "_cell_hook"), (io, "operator_from_dict"), (Segment, "__post_init__"),
+                            (protocols, "hermitian_expm")]:
             count(owner, name)
-        replayed = io.schedule_from_json(text)
+        replayed = io.read_schedule(path)
         assert np.array_equal(replayed.unitary(), unitary)
         assert len(replayed.segments) == 64
         assert len({id(seg) for seg in replayed.segments}) == 2
-        # the cells of the two 8 x 8 grids (_grid_cell calls _cell_hook), then the 64
-        # segment and 64 operator objects; one exponential, as before the grids were
-        # shared (a guard: protocols caches it)
-        assert calls == {"_grid_cell": 2 * 64, "_cell_hook": 2 * 64 + 64 + 64, "operator_from_dict": 2,
-                         "__post_init__": 2, "hermitian_expm": 1}
+        # the cells of the two 8 x 8 grids, and no segment or operator object
+        # through the hook or the per-object conversion; one exponential, as
+        # before the grids were shared (a guard: protocols caches it)
+        assert calls == {"_cell_hook": 2 * 64, "__post_init__": 2, "hermitian_expm": 1}
 
-    def test_distinct_equal_length_grids_scan_in_linear_time(self):
+    def test_distinct_equal_length_grids_scan_in_linear_time(self, tmp_path):
         # 20 000 distinct 1-dim grids whose texts all have one length; a memo that
         # compared each grid with every earlier one of its length took minutes
         text = io.schedule_to_json(PulseSchedule(
             [Segment("hamiltonian", np.array([[10000.0 + k]]), 0.5) for k in range(20000)]))
         assert len({len(grid_text(text, k)) for k in (0, 9999, 19999)}) == 1
+        path = schedule_file(tmp_path, text)
 
         def best(decode):
             times = []
@@ -375,8 +407,10 @@ class TestScheduleReader:
             return min(times), data
 
         loads_s, expected = best(lambda: json.loads(text, object_hook=io._cell_hook))
-        grids_s, (data, repeated) = best(lambda: io._grids_decoded_once(text))
-        assert data == expected and repeated == []
+        grids_s, parts = best(lambda: io._streamed(path, io._schedule_layout))
+        assert [(kind, op.shape, complex(op[0, 0]), dt) for kind, op, dt in parts] == [
+            (seg["kind"], (1, 1), seg["operator"]["entries"][0][0], seg["dt"]) for seg in expected]
+        assert len({id(op) for _, op, _ in parts}) == 20000
         assert grids_s < 10 * loads_s + 0.05, (grids_s, loads_s)
 
     # texts nested k levels deeper than a schedule: an extra segment key holding an
@@ -392,66 +426,53 @@ class TestScheduleReader:
     }
 
     @pytest.mark.parametrize("name", NESTED)
-    def test_routes_agree_at_the_nesting_limit(self, name):
-        # from some k on the whole-text decode refuses the depth; the grid route
+    def test_routes_agree_at_the_nesting_limit(self, name, tmp_path):
+        # from some k on the whole-text decode refuses the depth; the path reader
         # must refuse it at the same k, with the same message
         text_at = self.NESTED[name]
 
-        def outcome(read, text):
+        def message(read, k):
+            path = schedule_file(tmp_path, text_at(k))
             try:
-                read(text)
+                read(path)
             except InputError as exc:
                 return str(exc)
             return "read"
 
-        def whole(text):  # the whole-text decode, called as deep as schedule_from_json calls it
-            return io.schedule_from_dicts(io._loads(text))
+        def whole(path):  # the whole-text route, called as deep as read_schedule calls it
+            return io.schedule_from_json(io.read_text(path))
 
         refused = bisect.bisect(range(sys.getrecursionlimit()), False,
-                                key=lambda k: outcome(whole, text_at(k)).startswith("invalid JSON"))
+                                key=lambda k: message(whole, k).startswith("invalid JSON"))
         assert refused > 100
         for k in range(refused - 6, refused + 6):
-            assert outcome(io.schedule_from_json, text_at(k)) == outcome(whole, text_at(k)), k
+            assert message(io.read_schedule, k) == message(whole, k), k
 
-    def test_distinct_grids_add_no_memo_entries(self):
-        # 2 000 distinct 2-dim Hamiltonians: only repeated grids get conversion and
-        # Segment memo entries, so the reader peaks near a plain decode that builds
-        # one Segment per segment
+    def test_distinct_grids_add_no_memo_entries(self, tmp_path):
+        # 2 000 distinct 2-dim Hamiltonians: the reader's grid and Segment entries
+        # keep it near a plain decode that builds one Segment per segment
         rng = np.random.default_rng(5)
         text = io.schedule_to_json(PulseSchedule(
             [Segment("hamiltonian", np.diag(rng.normal(size=2)), 0.5) for _ in range(2000)]))
+        path = schedule_file(tmp_path, text)
 
         def plain():
             return PulseSchedule([Segment(seg["kind"], io.operator_from_dict(seg["operator"]), seg["dt"])
                                   for seg in json.loads(text, object_hook=io._cell_hook)])
 
-        peaks = []
-        for read in (plain, lambda: io.schedule_from_json(text)):
-            tracemalloc.start()
-            try:
-                read()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # the reader's equal-array dict adds about 0.15x; memo entries for every
-        # segment would add about 0.25x more
-        assert peaks[1] < 1.25 * peaks[0]
+        assert peak(lambda: io.read_schedule(path)) < 1.25 * peak(plain)
 
-    def test_distinct_grids_keep_no_second_copy_of_their_text(self):
-        # 32 distinct 16-dim grids: one-off grids are decoded in place, not sliced out
+    def test_distinct_grids_keep_no_second_copy_of_their_text(self, tmp_path):
+        # 32 distinct 16-dim grids: the reader holds one text per distinct grid (its
+        # key) and the arrays, and reading holds up to four chunks at once (the
+        # buffer, the bytes read, their text and the joined buffer); a second copy
+        # of every grid's text, or the text with its decoded tree, would add about
+        # the file again
         rng = np.random.default_rng(3)
-        text = io.schedule_to_json(PulseSchedule(
-            [Segment("hamiltonian", np.diag(rng.normal(size=16)), 0.5) for _ in range(32)]))
-        peaks = []
-        for decode in (lambda: json.loads(text, object_hook=io._cell_hook),
-                       lambda: io._grids_decoded_once(text)):
-            tracemalloc.start()
-            try:
-                decode()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.2 * peaks[0]  # a copy of every grid's text would add about 0.6x
+        path = schedule_file(tmp_path, io.schedule_to_json(PulseSchedule(
+            [Segment("hamiltonian", np.diag(rng.normal(size=16)), 0.5) for _ in range(32)])))
+        arrays = 32 * 16 * 16 * 16
+        assert peak(lambda: io.read_schedule(path)) < 1.2 * (os.path.getsize(path) + arrays) + 4 * io._CHUNK
 
 
 class TestScheduleWriter:
@@ -553,6 +574,19 @@ def _base_files():
     }
 
 
+def mutated(text, data):
+    """The text truncated, or its JSON value with one to three mutations."""
+    if data.draw(st.booleans(), label="truncate"):
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    root = tree(json.loads(text))
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = list(paths(root))
+        path = where[data.draw(st.integers(0, len(where) - 1))]
+        root = mutate(root, path, data.draw(st.sampled_from(
+            ["drop", "duplicate", "reorder", "retype"])), data.draw(VALUES))
+    return dump(root)
+
+
 BASE = _base_files()
 COMMANDS = {"state": [["analyze"], ["collective-decompose"]],
             "hamiltonian": [["echo", "--dt", "0.7", "--hamiltonian"]],
@@ -564,17 +598,7 @@ class TestReaderExitCodes:
     @given(st.data())
     def test_mutated_files_never_exit_1(self, data):
         kind = data.draw(st.sampled_from(sorted(BASE)))
-        text = BASE[kind]
-        if data.draw(st.booleans(), label="truncate"):
-            text = text[:data.draw(st.integers(0, len(text) - 1))]
-        else:
-            root = tree(json.loads(text))
-            for _ in range(data.draw(st.integers(1, 3))):
-                where = list(paths(root))
-                path = where[data.draw(st.integers(0, len(where) - 1))]
-                root = mutate(root, path, data.draw(st.sampled_from(
-                    ["drop", "duplicate", "reorder", "retype"])), data.draw(VALUES))
-            text = dump(root)
+        text = mutated(BASE[kind], data)
         command = data.draw(st.sampled_from(COMMANDS[kind]))
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "input.json")
@@ -583,6 +607,21 @@ class TestReaderExitCodes:
             result = CliRunner().invoke(main, command + [path])
         assert result.exit_code in (0, 2, 3, 4), (text[:300], result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["hamiltonian", "schedule"]), st.data())
+    def test_mutated_files_match_whole_text_route(self, kind, data):
+        # read_operator and read_schedule give what the whole-text read gives,
+        # bit for bit or error for error
+        text = mutated(BASE[kind], data)
+        with tempfile.TemporaryDirectory() as work:
+            path = write(Path(work), text)
+            if kind == "hamiltonian":
+                assert read_outcome(lambda: bits(io.read_operator(path)).tobytes()) == \
+                    read_outcome(lambda: bits(io.operator_from_json(text)).tobytes())
+            else:
+                assert schedule_outcome(lambda: io.read_schedule(path)) == \
+                    schedule_outcome(lambda: io.schedule_from_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -598,18 +637,16 @@ def state_outcome(read):
     return "state", bits(state.rho).tobytes(), state.dims
 
 
-def state_route(path):
-    """"rows" where the file is read row by row, "whole" where it is left to the
-    whole-text decode, "refused" where the rows themselves are refused."""
-    try:
-        return "whole" if io._streamed_state(path) is None else "rows"
-    except InputError:
-        return "refused"
+def state_route(path, kind="state"):
+    """"rows" where read_state (or, for kind "operator", read_operator) reads the
+    file row by row, "whole" where it leaves the file to the whole-text decode."""
+    parts = io._streamed(path, io._matrix_layout)
+    return "rows" if parts is not None and (parts[1] is None) == (kind == "operator") else "whole"
 
 
 def assert_state_routes_agree(path):
     """read_state gives what the whole-text read gives, bit for bit or error for error."""
-    expected = state_outcome(lambda: io.state_from_json(io._read_text(path)))
+    expected = state_outcome(lambda: io.state_from_json(io.read_text(path)))
     assert state_outcome(lambda: io.read_state(path)) == expected
     return expected
 
@@ -641,9 +678,9 @@ STATE_TEXTS = {
     "a negative dims entry": (STATE.replace('"dims": [2, 2]', '"dims": [-2, 2]'), "rows"),
     "empty dims": (STATE.replace('"dims": [2, 2]', '"dims": []'), "rows"),
     "not hermitian": (STATE.replace(FIRST_CELL, '{"re": 0.5, "im": 0.25}'), "rows"),
-    "NaN cell": (STATE.replace(FIRST_CELL, '{"re": NaN, "im": 0}'), "refused"),
-    "out-of-range float cell": (STATE.replace(FIRST_CELL, '{"re": 1e400, "im": 0}'), "refused"),
-    # any other layout, and every malformed file: read whole
+    # any other layout, and every malformed file (non-finite cells too): read whole
+    "NaN cell": (STATE.replace(FIRST_CELL, '{"re": NaN, "im": 0}'), "whole"),
+    "out-of-range float cell": (STATE.replace(FIRST_CELL, '{"re": 1e400, "im": 0}'), "whole"),
     "dims first": (json.dumps({"dims": [2, 2], **json.loads(STATE)}), "whole"),
     "entries first": (json.dumps({k: json.loads(STATE)[k] for k in ("entries", "dim", "dims")}), "whole"),
     "extra key": (STATE[:-1] + ', "note": 1}', "whole"),
@@ -723,17 +760,7 @@ class TestStateReader:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_mutated_states_match_whole_text_route(self, data):
-        text = STATE
-        if data.draw(st.booleans(), label="truncate"):
-            text = text[:data.draw(st.integers(0, len(text) - 1))]
-        else:
-            root = tree(json.loads(text))
-            for _ in range(data.draw(st.integers(1, 3))):
-                where = list(paths(root))
-                path = where[data.draw(st.integers(0, len(where) - 1))]
-                root = mutate(root, path, data.draw(st.sampled_from(
-                    ["drop", "duplicate", "reorder", "retype"])), data.draw(VALUES))
-            text = dump(root)
+        text = mutated(STATE, data)
         with tempfile.TemporaryDirectory() as work:
             assert_state_routes_agree(write(Path(work), text))
 
@@ -743,6 +770,56 @@ class TestStateReader:
         path = write(tmp_path, text)
         assert state_route(path) == "rows"
         assert assert_state_routes_agree(path)[0] == "state"
+
+
+# the state texts as operator files: every case but those about "dims", with
+# the "dims" member dropped
+DIMS_MEMBER = '[ \t\n\r]*,[ \t\n\r]*"dims"[ \t\n\r]*:[ \t\n\r]*\\[[-0-9, \t\n\r]*\\]'
+
+
+def without_dims(text):
+    if isinstance(text, bytes):
+        return re.sub(DIMS_MEMBER.encode(), b"", text, count=1)
+    return re.sub(DIMS_MEMBER, "", text, count=1)
+
+
+OPERATOR_TEXTS = {name: (without_dims(text), route) for name, (text, route) in STATE_TEXTS.items()
+                  if "dims" not in name}
+
+
+class TestOperatorReader:
+    @pytest.mark.parametrize("name", OPERATOR_TEXTS)
+    def test_routes_agree(self, name, tmp_path):
+        # read_operator gives what the whole-text read gives, bit for bit or error for error
+        text, route = OPERATOR_TEXTS[name]
+        path = write(tmp_path, text)
+        assert state_route(path, "operator") == route
+        expected = read_outcome(lambda: bits(io.operator_from_json(io.read_text(path))).tobytes())
+        assert read_outcome(lambda: bits(io.read_operator(path)).tobytes()) == expected
+
+
+@pytest.fixture(scope="module")
+def large_echo_file(tmp_path_factory):
+    """The echo schedule of a dense 32-dim Hamiltonian over 4 cycles, as
+    ``echo --schedule-out`` writes it: 256 segments, about 13 MB."""
+    path = tmp_path_factory.mktemp("large") / "echo.json"
+    schedule, _ = echo_schedule(traceless_hamiltonian(32, 29), 0.6, cycles=4)
+    path.write_text(io.schedule_to_json(schedule))
+    return str(path), schedule
+
+
+class TestLargeScheduleFile:
+    def test_memory_is_the_distinct_operators_and_a_chunk(self, large_echo_file):
+        path, schedule = large_echo_file
+        assert os.path.getsize(path) > 10e6
+        distinct = {id(seg.operator): seg.operator.nbytes for seg in schedule.segments}
+        assert len(distinct) == 2
+        # the reading holds the two operators, their texts and a chunk or two;
+        # the whole-text route holds the text and its decoded tree
+        assert peak(lambda: io.read_schedule(path)) < sum(distinct.values()) + 2e6
+        assert peak(lambda: io.schedule_from_json(io.read_text(path))) > os.path.getsize(path)
+        assert_schedule_matches(io.read_schedule(path), [(seg.kind, seg.operator, float(seg.duration))
+                                                         for seg in schedule.segments])
 
 
 @pytest.fixture(scope="module")
@@ -759,22 +836,14 @@ class TestLargeStateFile:
         path, state = large_state_file
         assert os.path.getsize(path) > 8e6
 
-        def peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         nbytes = state.rho.nbytes
         # the reading holds the matrix and one chunk of text; the whole-text
         # route holds the text and its decoded tree, over twice the matrix here
-        assert peak(lambda: io._streamed_state(path)) < nbytes + 2e6
+        assert peak(lambda: io._streamed(path, io._matrix_layout)) < nbytes + 2e6
         # validation's own matrix-sized temporaries come after the text is gone
         validation = peak(lambda: coherence.validate_state(state.rho))
         assert peak(lambda: io.read_state(path)) < nbytes + validation + 2e6
-        assert peak(lambda: io.state_from_json(io._read_text(path))) > os.path.getsize(path) + nbytes
+        assert peak(lambda: io.state_from_json(io.read_text(path))) > os.path.getsize(path) + nbytes
         assert assert_state_routes_agree(path) == ("state", bits(state.rho).tobytes(), (448,))
 
     def test_bad_first_row_ends_the_rows_at_once(self, large_state_file, monkeypatch):
@@ -793,7 +862,7 @@ class TestLargeStateFile:
             return fh
 
         monkeypatch.setattr(io, "open", counted_open, raising=False)
-        assert io._streamed_state(bad) is None
+        assert io._streamed(bad, io._matrix_layout) is None
         assert sum(read) < len(text) / 50  # the first chunk only
         monkeypatch.undo()
         assert assert_state_routes_agree(bad)[0] is InputError

@@ -186,6 +186,23 @@ class TestCliCommands:
         result = runner.invoke(main, ["echo", "--hamiltonian", str(path)])
         assert result.exit_code == 2
 
+    def test_echo_phase_overflow_exits_2(self, runner, tmp_path):
+        # H dt / n = 5e399 overflows: the echo phases, and its residual, would be NaN
+        path = tmp_path / "h.json"
+        path.write_text(io.operator_to_json(np.diag([1e200, -1e200])))
+        result = runner.invoke(main, ["echo", "--hamiltonian", str(path), "--dt", "1e200"])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: echo phases are not finite: |H| dt over 2 steps overflows\n"
+
+    def test_schedule_exponential_overflow_exits_2(self, runner, tmp_path):
+        # H t = 1e616 overflows: the unitary would be NaN, and its SVD would not converge
+        path = tmp_path / "schedule.json"
+        path.write_text('[{"kind": "hamiltonian", "operator": {"dim": 1, "entries": [[{"re": 1e308, "im": 0}]]},'
+                        ' "dt": 1e308}]')
+        result = runner.invoke(main, ["echo", "--schedule", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: exp(-i H t) is not finite: |H| t overflows\n"
+
     def test_control_cat_creation(self, runner):
         result = runner.invoke(main, ["control", "--nodes", "4", "--m", "2", "--alpha-t", "pi/4"])
         assert result.exit_code == 0

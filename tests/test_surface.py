@@ -126,3 +126,11 @@ def test_result_field_is_read(qualname):
 
 def test_result_fields_exist():
     assert RESULT_FIELDS <= set(FIELDS)
+
+
+def test_cli_imports_no_private_io_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "io"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
